@@ -81,11 +81,17 @@ def dc_solve(
 
 @dataclasses.dataclass
 class AnalogTransientResult:
-    """Waveforms and convergence measurements of one transient run."""
+    """Waveforms and convergence measurements of one transient run.
+
+    ``steps_run`` is the number of steps actually integrated: the run
+    stops once the recorded state repeats bit for bit, and the samples
+    after that hold the frozen value (see :func:`transient`).
+    """
 
     time: np.ndarray
     waves: Dict[str, np.ndarray]
     final: Dict[str, float]
+    steps_run: int
 
     def convergence_time(
         self,
@@ -118,6 +124,11 @@ class AnalogTransientResult:
         return float(self.time[last + 1])
 
 
+#: Steps between stationarity checks.  A check costs about one step;
+#: the stop it finds comes at most this many steps late.
+_CHECK_EVERY = 32
+
+
 def transient(
     graph: Union[BlockGraph, FrozenGraph],
     t_stop: float,
@@ -132,6 +143,22 @@ def transient(
     unconditionally stable for any ``dt``; accuracy requires
     ``dt`` below the smallest interesting tau, which callers size via
     :func:`suggest_dt`.
+
+    The step is a deterministic function of the state, so a state
+    that repeats bit for bit once repeats forever.  The run therefore
+    stops early without changing a single returned bit:
+
+    * once the whole state (every batch row) repeats, the remaining
+      samples are the frozen value;
+    * once every block up to some depth repeats, those levels are
+      frozen for good (their inputs are frozen too), and only the
+      deeper blocks are stepped;
+    * once every recorded tap's inputs are frozen, the taps' targets
+      are constants and each tap alone is stepped, as a Python float,
+      until it repeats.
+
+    Stationarity is bitwise, not a tolerance: an output that settles
+    to 0 V has a 1e-12 V band in :meth:`~AnalogTransientResult.convergence_time`.
     """
     g = _freeze(graph)
     if not g.outputs:
@@ -141,6 +168,15 @@ def transient(
     unknown = [name for name in record if name not in g.outputs]
     if unknown:
         raise ConvergenceError(f"unknown outputs: {unknown}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ConfigurationError(
+            f"transient dt must be finite and positive; got {dt!r}"
+        )
+    if not (np.isfinite(t_stop) and t_stop >= 0.0):
+        raise ConfigurationError(
+            f"transient t_stop must be finite and non-negative; "
+            f"got {t_stop!r}"
+        )
 
     steps = int(np.ceil(t_stop / dt))
     time = np.linspace(0.0, steps * dt, steps + 1)
@@ -173,11 +209,49 @@ def transient(
             )
         t[..., g.const_ids] = const_t
     ops = g._nonconst_ops()
+    # The whole vector steps (ids is None) until a suffix plan takes
+    # over; ``start`` is the shallowest depth still moving.
+    ids: Optional[np.ndarray] = None
+    start = 0
+    depth = g.depth
+    tap_depth = max((int(depth[tap]) for tap in taps.values()), default=0)
+    steps_run = steps
     for k in range(1, steps + 1):
-        ops.eval_into(v, cv, t)
-        v = t + (v - t) * decay
+        if ids is None:
+            t[..., ops.ids] = ops.eval(v, cv)
+            old, v = v, t + (v - t) * decay
+            new, target = v, t
+        else:
+            target = ops.eval(v, cv)
+            old = v[..., ids]
+            new = target + (old - target) * step_decay
+            v[..., ids] = new
         for name, tap in taps.items():
             waves[name][..., k] = v[..., tap]
+        if k % _CHECK_EVERY:
+            continue
+        changed = old.view(np.uint64) != new.view(np.uint64)
+        moved = changed.reshape(-1, changed.shape[-1]).any(axis=0)
+        if not moved.any():
+            for name, tap in taps.items():
+                waves[name][..., k + 1 :] = v[..., tap, None]
+            steps_run = k
+            break
+        first = int(depth[moved].min())
+        if first >= tap_depth:
+            # Every tap is frozen or reads only frozen levels.
+            stepped = np.arange(g.n_blocks) if ids is None else ids
+            steps_run = k + _settle_taps(
+                waves, taps, v, target, stepped, decay, k
+            )
+            break
+        if first > start:
+            start = first
+            plan = g._suffix_ops(first)
+            if plan is not ops:
+                ops, ids = plan, plan.ids
+                step_decay = decay[ids]
+                depth = g.depth[ids]
 
     settled = dc_solve(g)
     final = {
@@ -188,7 +262,51 @@ def transient(
         )
         for name, tap in taps.items()
     }
-    return AnalogTransientResult(time=time, waves=waves, final=final)
+    return AnalogTransientResult(
+        time=time, waves=waves, final=final, steps_run=steps_run
+    )
+
+
+def _settle_taps(
+    waves: Dict[str, np.ndarray],
+    taps: Dict[str, int],
+    v: np.ndarray,
+    target: np.ndarray,
+    stepped: np.ndarray,
+    decay: np.ndarray,
+    k: int,
+) -> int:
+    """Finish ``waves`` after step ``k`` once every tap's target is fixed.
+
+    ``target[..., j]`` is the target of block ``stepped[j]`` (taps not
+    stepped any more are frozen).  Each tap element runs its own
+    scalar recurrence until it repeats; returns the most steps any
+    element needed.  Python floats round each ``+ - *`` exactly as
+    numpy float64 does, and ``x -> T + (x - T) d`` maps +0 and -0 to
+    the same bits, so numeric equality marks a true fixed point.
+    """
+    extra = 0
+    for name, tap in taps.items():
+        wave = waves[name]
+        j = int(np.searchsorted(stepped, tap))
+        if j == stepped.size or stepped[j] != tap:
+            wave[..., k + 1 :] = v[..., tap, None]
+            continue
+        d = float(decay[tap])
+        for idx in np.ndindex(v.shape[:-1]):
+            x, goal = float(v[idx + (tap,)]), float(target[idx + (j,)])
+            row = wave[idx]
+            n = k
+            while n + 1 < row.size:
+                x_next = goal + (x - goal) * d
+                n += 1
+                row[n] = x_next
+                if x_next == x:
+                    break
+                x = x_next
+            row[n + 1 :] = row[n]
+            extra = max(extra, n - k)
+    return extra
 
 
 def suggest_dt(graph: Union[BlockGraph, FrozenGraph]) -> float:

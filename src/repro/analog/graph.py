@@ -455,15 +455,14 @@ class _SubsetOps:
         self.gate_high = frozen.gate_high[gi]
         self.gate_low = frozen.gate_low[gi]
 
-    def eval_into(
-        self, v: np.ndarray, const_values: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Write the subset's settled targets into ``out[..., ids]``.
+    def eval(self, v: np.ndarray, const_values: np.ndarray) -> np.ndarray:
+        """The subset's settled targets, ``(*batch, ids.size)``.
 
-        Reads input voltages from ``v``; ``v`` and ``out`` may be the
-        same array (safe during a levelized pass: a block's inputs are
-        always at a strictly smaller depth, never in its own level).
-        Batched when ``v``/``const_values`` carry leading axes.
+        Reads input voltages from ``v``; the caller writes the result
+        to ``[..., ids]`` of ``v`` itself during a levelized pass (safe:
+        a block's inputs are always at a strictly smaller depth, never
+        in its own level).  Batched when ``v``/``const_values`` carry
+        leading axes.
         """
         raw = np.zeros(v.shape[:-1] + (self.ids.size,))
         if self.const_pos.size:
@@ -505,7 +504,7 @@ class _SubsetOps:
         raw = raw * self.gain + self.offset
         if self.rail is not None:
             np.clip(raw, -self.rail, self.rail, out=raw)
-        out[..., self.ids] = raw
+        return raw
 
 
 class FrozenGraph:
@@ -707,6 +706,39 @@ class FrozenGraph:
             self._ops_cache["nonconst"] = ops
         return ops  # type: ignore[return-value]
 
+    def _suffix_ops(self, depth: int) -> "_SubsetOps":
+        """Plan for every block at topological depth ``>= depth``.
+
+        The transient steps only this suffix once the shallower levels
+        are bitwise stationary.  Plans exist only at the depths where
+        the suffix holds at most half the blocks of the previous plan
+        (starting from the non-const plan at depth 1), and ``depth``
+        is rounded down to the nearest one: the cache then holds
+        O(log n_blocks) plans however the freeze front moves, at most
+        twice the non-const plan's size in total.
+        """
+        starts = self._ops_cache.get("suffix_starts")
+        if starts is None:
+            remaining = np.cumsum(
+                np.bincount(self.depth, minlength=self.n_levels)[::-1]
+            )[::-1]
+            found = [1]
+            for d in range(2, self.n_levels):
+                if 2 * remaining[d] <= remaining[found[-1]]:
+                    found.append(d)
+            starts = np.array(found)
+            self._ops_cache["suffix_starts"] = starts
+        at = np.searchsorted(starts, max(depth, 1), side="right") - 1
+        start = int(starts[at])
+        if start == 1:
+            return self._nonconst_ops()
+        key = f"suffix{start}"
+        ops = self._ops_cache.get(key)
+        if ops is None:
+            ops = _SubsetOps(self, np.flatnonzero(self.depth >= start))
+            self._ops_cache[key] = ops
+        return ops  # type: ignore[return-value]
+
     def solve(self, const_values: Optional[np.ndarray] = None) -> np.ndarray:
         """Settled voltages via one levelized pass per depth level.
 
@@ -727,7 +759,7 @@ class FrozenGraph:
         )
         v = np.zeros(cv.shape[:-1] + (self.n_blocks,))
         for level in self._level_ops():
-            level.eval_into(v, cv, v)
+            v[..., level.ids] = level.eval(v, cv)
         return v
 
     def targets(

@@ -11,7 +11,7 @@ from repro.analog import (
     suggest_dt,
     transient,
 )
-from repro.errors import ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError
 
 
 def chain_graph(depth: int) -> BlockGraph:
@@ -49,6 +49,26 @@ class TestTransient:
         g = chain_graph(1)
         with pytest.raises(ConvergenceError, match="unknown"):
             transient(g, t_stop=1e-9, dt=1e-11, record=["nope"])
+
+    @pytest.mark.parametrize(
+        "dt", [0.0, -1e-11, float("nan"), float("inf")]
+    )
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ConfigurationError, match="dt"):
+            transient(chain_graph(1), t_stop=1e-9, dt=dt)
+
+    @pytest.mark.parametrize(
+        "t_stop", [-1e-9, float("nan"), float("inf")]
+    )
+    def test_bad_t_stop_rejected(self, t_stop):
+        with pytest.raises(ConfigurationError, match="t_stop"):
+            transient(chain_graph(1), t_stop=t_stop, dt=1e-11)
+
+    def test_zero_window_is_just_the_initial_sample(self):
+        result = transient(chain_graph(2), t_stop=0.0, dt=1e-11)
+        assert result.time.tolist() == [0.0]
+        assert result.waves["out"].tolist() == [0.0]
+        assert result.steps_run == 0
 
 
 class TestConvergenceTime:

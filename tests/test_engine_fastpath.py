@@ -1,30 +1,41 @@
 """Equivalence and regression tests for the vectorized engine.
 
-The levelized solver, the graph-template cache and the batched solves
-are all *pure optimisations*: every path must produce bit-identical
-voltages to the reference behaviour (Jacobi sweeps over a freshly
-rebuilt graph).  These tests pin that contract, plus the hot-path
+The levelized solver, the graph-template cache, the batched solves and
+the transient's stop at the bitwise fixed point are all *pure
+optimisations*: every path must produce bit-identical voltages to the
+reference behaviour (Jacobi sweeps over a freshly rebuilt graph, and
+the full-window transient loop kept here as the oracle).  These tests pin that contract, plus the hot-path
 bugfixes that landed with the engine (pool settle-time cache key,
 batched timing/overflow, convergence retry loop).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.accelerator.array as array_module
+import repro.accelerator.early as early_module
 import repro.analog.engine as engine_module
 from repro.accelerator import (
     AcceleratorParameters,
     DistanceAccelerator,
+    early_rank,
+    get_config,
 )
 from repro.analog import (
+    IDEAL,
+    AnalogTransientResult,
     BlockGraph,
     dc_solve,
     measure_convergence_many,
+    suggest_dt,
+    transient,
 )
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.faults import (
@@ -387,3 +398,296 @@ class TestConvergenceRetry:
         for t_conv, final in results.values():
             assert t_conv >= 0.0
             assert np.isfinite(final)
+
+
+# -- transient early exit ------------------------------------------------------
+def _full_window_transient(graph, t_stop, dt, record=None, v0=None):
+    """Reference transient: every block, every step of the window.
+
+    The engine's loop before it learned to stop at the bitwise fixed
+    point; the fast path must return exactly these bits.
+    """
+    g = graph.freeze() if isinstance(graph, BlockGraph) else graph
+    if record is None:
+        record = list(g.outputs)
+    steps = int(np.ceil(t_stop / dt))
+    time = np.linspace(0.0, steps * dt, steps + 1)
+    decay = np.exp(-dt / g.tau)
+    v = (
+        np.zeros(g.batch_shape + (g.n_blocks,))
+        if v0 is None
+        else np.asarray(v0, dtype=np.float64).copy()
+    )
+    taps = {name: g.outputs[name] for name in record}
+    waves = {
+        name: np.zeros(v.shape[:-1] + (steps + 1,)) for name in record
+    }
+    for name, tap in taps.items():
+        waves[name][..., 0] = v[..., tap]
+    t = np.zeros_like(v)
+    cv = g.const_values
+    if g.const_ids.size:
+        const_t = cv * g.gain[g.const_ids] + g.offset[g.const_ids]
+        if g.supply_rail is not None:
+            np.clip(const_t, -g.supply_rail, g.supply_rail, out=const_t)
+        t[..., g.const_ids] = const_t
+    ops = g._nonconst_ops()
+    for k in range(1, steps + 1):
+        t[..., ops.ids] = ops.eval(v, cv)
+        v = t + (v - t) * decay
+        for name, tap in taps.items():
+            waves[name][..., k] = v[..., tap]
+    settled = dc_solve(g)
+    final = {
+        name: float(settled[tap]) if settled.ndim == 1 else settled[..., tap]
+        for name, tap in taps.items()
+    }
+    return AnalogTransientResult(
+        time=time, waves=waves, final=final, steps_run=steps
+    )
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+def _assert_same_result(fast, reference) -> None:
+    assert _same_bits(fast.time, reference.time)
+    assert fast.waves.keys() == reference.waves.keys()
+    for name in reference.waves:
+        assert _same_bits(fast.waves[name], reference.waves[name]), name
+        assert _same_bits(fast.final[name], reference.final[name]), name
+
+
+def _timed_graphs(function, pairs, **kwargs):
+    """The bound graphs ``compute(measure_time=True)`` hands to the
+    convergence measurement, one per pair, from one chip (so they share
+    one template)."""
+    seen = []
+
+    def capture(bound, output, **_):
+        seen.append(bound)
+        return 0.0, 0.0
+
+    chip = DistanceAccelerator(quantise_io=False)
+    with mock.patch.object(array_module, "measure_convergence", capture):
+        for p, q in pairs:
+            chip.compute(function, p, q, measure_time=True, **kwargs)
+    return seen
+
+
+def _window(g) -> float:
+    """The first window :func:`measure_convergence_many` tries."""
+    return max(
+        14.0 * float(np.max(g.critical_tau)),
+        30.0 * float(np.max(g.tau)) * 4.0,
+    )
+
+
+@st.composite
+def _accelerator_graphs(draw):
+    """A timed accelerator graph, optionally ``bind``-batched, with two
+    extra taps at random depths."""
+    function = draw(st.sampled_from(ALL_FUNCTIONS))
+    config = get_config(function)
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 4)) if config.supports_unequal_lengths else n
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kwargs = {}
+    if draw(st.booleans()):
+        shape = (n,) if config.structure == "row" else (n, m)
+        kwargs["weights"] = rng.uniform(0.5, 1.5, size=shape)
+    if function in ("lcs", "edit", "hamming"):
+        kwargs["threshold"] = draw(st.floats(0.1, 1.0))
+    if function == "dtw" and draw(st.booleans()):
+        kwargs["band"] = draw(st.integers(max(1, abs(n - m)), max(n, m)))
+    batch = draw(st.sampled_from([0, 2, 3]))
+    pairs = [
+        (rng.normal(size=n), rng.normal(size=m))
+        for _ in range(max(batch, 1))
+    ]
+    graphs = _timed_graphs(function, pairs, **kwargs)
+    g = graphs[0]
+    if batch:
+        g = g.bind(np.stack([b.const_values for b in graphs]))
+    g = copy.copy(g)
+    g.outputs = dict(
+        g.outputs,
+        tap_a=draw(st.integers(0, g.n_blocks - 1)),
+        tap_b=draw(st.integers(0, g.n_blocks - 1)),
+    )
+    return g, rng
+
+
+class TestTransientEarlyExit:
+    """``transient`` stops at the bitwise fixed point and steps only
+    the levels still moving; every returned bit must equal the
+    full-window reference."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        case=_accelerator_graphs(),
+        record=st.sampled_from([None, ("out",), ("tap_a",), ("tap_a", "tap_b")]),
+        nonzero_v0=st.booleans(),
+        window_share=st.sampled_from([1.0, 1.0, 0.4, 0.02]),
+    )
+    def test_matches_full_window_reference(
+        self, case, record, nonzero_v0, window_share
+    ):
+        g, rng = case
+        v0 = (
+            rng.uniform(-0.5, 0.5, size=g.batch_shape + (g.n_blocks,))
+            if nonzero_v0
+            else None
+        )
+        dt = 4.0 * suggest_dt(g)
+        t_stop = window_share * _window(g)
+        fast = transient(g, t_stop=t_stop, dt=dt, record=record, v0=v0)
+        reference = _full_window_transient(
+            g, t_stop=t_stop, dt=dt, record=record, v0=v0
+        )
+        _assert_same_result(fast, reference)
+        assert fast.steps_run <= reference.steps_run
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        case=_accelerator_graphs(),
+        tolerance=st.sampled_from([1e-3, 1e-12, 0.0]),
+    )
+    def test_measure_convergence_many_same_outcome(self, case, tolerance):
+        # tolerance 0 or 1e-12 often never converges: both engines must
+        # then raise the same error after the same retries.
+        g, _ = case
+
+        def outcome(engine):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(kwargs["t_stop"])
+                return engine(*args, **kwargs)
+
+            with mock.patch.object(engine_module, "transient", counted):
+                try:
+                    got = measure_convergence_many(
+                        g, ["out", "tap_a"], safety_factor=4.0,
+                        tolerance=tolerance,
+                    )
+                except ConvergenceError as exc:
+                    got = str(exc)
+            return got, calls
+
+        fast, fast_calls = outcome(transient)
+        reference, reference_calls = outcome(_full_window_transient)
+        assert fast_calls == reference_calls
+        if isinstance(reference, str):
+            assert fast == reference
+        else:
+            assert fast.keys() == reference.keys()
+            for name, (t_conv, final) in reference.items():
+                assert fast[name][0] == t_conv
+                assert _same_bits(fast[name][1], final)
+
+    def test_too_short_window_raises_like_reference(self):
+        (g,) = _timed_graphs(
+            "dtw", [(np.array([0.3, -1.2, 0.8]), np.array([1.0, 0.1, -0.4]))]
+        )
+        dt = suggest_dt(g)
+        fast = transient(g, t_stop=0.05 * _window(g), dt=dt)
+        reference = _full_window_transient(
+            g, t_stop=0.05 * _window(g), dt=dt
+        )
+        _assert_same_result(fast, reference)
+        assert fast.steps_run == reference.steps_run
+        for result in (fast, reference):
+            with pytest.raises(ConvergenceError, match="did not converge"):
+                result.convergence_time("out")
+
+    def test_early_rank_reads_the_same_samples(self, rng):
+        query = rng.normal(size=5)
+        candidates = [rng.normal(size=5) for _ in range(4)]
+        for function, kwargs in (
+            ("manhattan", {}),
+            ("hamming", {"threshold": 0.5}),
+        ):
+            fast = early_rank(query, candidates, function=function, **kwargs)
+            with mock.patch.object(
+                early_module, "transient", _full_window_transient
+            ):
+                reference = early_rank(
+                    query, candidates, function=function, **kwargs
+                )
+            assert fast.early_ranking == reference.early_ranking
+            assert fast.final_ranking == reference.final_ranking
+            assert fast.early_time_s == reference.early_time_s
+            assert fast.full_time_s == reference.full_time_s
+            assert _same_bits(fast.early_values, reference.early_values)
+            assert _same_bits(fast.final_values, reference.final_values)
+
+    def test_buffer_chain_stops_well_inside_the_window(self):
+        g = BlockGraph(nonideality=IDEAL)
+        node = g.const(0.2)
+        for _ in range(4):
+            node = g.buffer(node)
+        g.mark_output("out", node)
+        frozen = g.freeze()
+        dt = suggest_dt(frozen)
+        t_stop = 60.0 * float(np.max(frozen.critical_tau))
+        steps = int(np.ceil(t_stop / dt))
+        result = transient(frozen, t_stop=t_stop, dt=dt)
+        assert result.steps_run < steps // 2
+        assert result.convergence_time("out") < t_stop
+        # A window too short to settle is integrated to its end and
+        # still fails the measurement.
+        short = transient(frozen, t_stop=t_stop / 50.0, dt=dt)
+        assert short.steps_run == int(np.ceil((t_stop / 50.0) / dt))
+        with pytest.raises(ConvergenceError):
+            short.convergence_time("out")
+
+    @pytest.mark.parametrize("function", ALL_FUNCTIONS)
+    def test_fig5_measurements_stop_early(self, function, monkeypatch):
+        runs = []
+        real = engine_module.transient
+
+        def spy(g, t_stop, dt, **kwargs):
+            result = real(g, t_stop=t_stop, dt=dt, **kwargs)
+            runs.append((result.steps_run, int(np.ceil(t_stop / dt))))
+            return result
+
+        monkeypatch.setattr(engine_module, "transient", spy)
+        p = np.array([0.4, -1.1, 0.9, 0.2])
+        q = np.array([-0.3, 1.2, 0.5, -0.8])
+        DistanceAccelerator(quantise_io=False).compute(
+            function, p, q, measure_time=True, **_kwargs(function)
+        )
+        assert runs
+        for steps_run, steps in runs:
+            assert steps_run < steps
+
+    def test_suffix_plans_lazy_and_shared_by_bound_views(self):
+        frozen = _smoke_graph().freeze()
+        assert not any(
+            key.startswith("suffix") for key in frozen._ops_cache
+        )
+        bound = frozen.bind(np.stack([frozen.const_values] * 3))
+        for depth in range(1, frozen.n_levels):
+            plan = bound._suffix_ops(depth)
+            assert plan is frozen._suffix_ops(depth)
+            # A plan may start shallower than asked, never deeper.
+            covered = set(plan.ids.tolist())
+            assert covered >= set(
+                np.flatnonzero(frozen.depth >= depth).tolist()
+            )
+            assert covered <= set(
+                np.flatnonzero(frozen.depth >= 1).tolist()
+            )
