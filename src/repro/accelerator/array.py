@@ -7,6 +7,12 @@ configuration library), the control/configuration module (this class:
 dataflow, tiling, overflow monitoring), and the ADC array reading the
 result.
 
+Like the chip, which programs one configuration and streams query
+voltages through it, every entry point runs through one core: a
+template factory that builds, freezes and caches each array
+configuration, and one settle step that rebinds the inputs, solves and
+reads the taps through the ADC.
+
 >>> from repro.accelerator import DistanceAccelerator
 >>> acc = DistanceAccelerator()
 >>> acc.compute("dtw", [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]).value
@@ -23,6 +29,7 @@ from typing import (
     Dict,
     Hashable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -42,7 +49,6 @@ from ..analog import (
     NonidealityModel,
     TimingModel,
     dc_solve,
-    measure_convergence,
     measure_convergence_many,
 )
 from ..errors import CapacityError, ConfigurationError
@@ -109,45 +115,95 @@ class AcceleratorResult:
     n_blocks: int
 
 
+#: The one comparison of an unbatched graph: input 0 against input 1.
+_ONE_PAIR: Tuple[Tuple[int, int], ...] = ((0, 1),)
+
+#: Keyword arguments that may select or shape a function's graph.
+_OPTIONS = ("threshold", "band", "paper_errata")
+
+
+def check_options(config: FunctionConfig, **options) -> None:
+    """Reject an argument ``config``'s graph builder would not read.
+
+    Only DTW takes a ``band``, only the comparator functions
+    (``uses_threshold``) a non-zero ``threshold``, and only edit the
+    ``paper_errata`` variant.  An ignored argument would otherwise
+    return a plausible value and key a duplicate graph template.
+    ``threshold=0.0``, ``band=None`` and ``paper_errata=False`` are
+    the defaults and legal everywhere.
+    """
+    unknown = sorted(set(options) - set(_OPTIONS))
+    if unknown:
+        raise ConfigurationError(
+            f"{config.name!r} takes no argument {unknown[0]!r}; "
+            f"known: {', '.join(_OPTIONS)}"
+        )
+    if options.get("band") is not None and config.name != "dtw":
+        raise ConfigurationError(
+            f"band applies to DTW only, not {config.name!r}"
+        )
+    threshold = options.get("threshold", 0.0)
+    if not config.uses_threshold and float(threshold) != 0.0:
+        raise ConfigurationError(
+            f"{config.name!r} has no comparator; threshold must be 0, "
+            f"got {threshold!r}"
+        )
+    if options.get("paper_errata") and config.name != "edit":
+        raise ConfigurationError(
+            f"paper_errata applies to edit only, not {config.name!r}"
+        )
+
+
 @dataclasses.dataclass
 class _GraphTemplate:
     """A frozen, reusable block graph plus its rebind metadata.
 
-    ``slots`` maps input names (``"p"``, ``"q"``, boundary names, or
-    ``"in{k}"`` for batched settles) to positions in the frozen
-    graph's ``const_values`` array; a query copies ``base_const``,
-    writes its encoded voltages into those positions and solves the
-    rebound view — no Python graph rebuild, no repacking.
+    ``slots[k]`` holds the positions of input ``k``'s sources inside
+    the frozen graph's ``const_values`` (the operand rows first, then
+    a DP tile's top/left/corner edges); a query copies ``base_const``,
+    writes its voltages into those positions and solves the rebound
+    view — no Python graph rebuild, no repacking.  ``outs``/``names``
+    are the output tap of each pair, ``cells`` and ``minima`` the DP
+    cells and Hausdorff column minima the tiling loops read.
     """
 
     frozen: FrozenGraph
     n_blocks: int
     base_const: np.ndarray
-    slots: Dict[str, np.ndarray]
-    out: int = -1
-    outs: Optional[np.ndarray] = None
-    cells: Optional[Dict[Tuple[int, int], int]] = None
-    minima: Optional[List[int]] = None
+    slots: List[np.ndarray]
+    outs: np.ndarray
+    names: List[str]
+    cells: Dict[Tuple[int, int], int]
+    minima: np.ndarray
 
-    def bind(self, updates: Dict[str, np.ndarray]) -> FrozenGraph:
-        """Frozen view with ``updates`` written into the input slots.
+    def bind(self, inputs: Sequence[np.ndarray]) -> FrozenGraph:
+        """Frozen view with ``inputs`` written into the input slots.
 
         Values may carry a leading batch axis; the bound view then
         solves the whole batch in one vectorized pass.
         """
         batch: Tuple[int, ...] = ()
-        for value in updates.values():
+        for value in inputs:
             value = np.asarray(value)
             if value.ndim > 1:
                 batch = value.shape[:-1]
         cv = np.broadcast_to(
             self.base_const, batch + self.base_const.shape
         ).copy()
-        for name, value in updates.items():
-            positions = self.slots[name]
+        for positions, value in zip(self.slots, inputs):
             if positions.size:
                 cv[..., positions] = value
         return self.frozen.bind(cv)
+
+
+class _Settled(NamedTuple):
+    """One settle of a bound template, read out."""
+
+    voltages: np.ndarray  # every block, (..., n_blocks)
+    raw: np.ndarray  # each pair's output tap, (..., n_pairs)
+    read: np.ndarray  # the ADC reading of the read taps
+    overflow: np.ndarray  # per leading batch row
+    t_conv: Optional[float]
 
 
 class DistanceAccelerator:
@@ -168,8 +224,9 @@ class DistanceAccelerator:
         ablations).
     use_template_cache:
         Reuse frozen graph templates across queries that share a
-        structure key ``(function, n, m, weights, threshold, band)``,
-        rebinding only the source voltages per query.  Disable to
+        graph structure (function, lengths, sharing pattern, weights
+        and the arguments the builder reads), rebinding only the
+        source voltages per query.  Disable to
         rebuild every graph from scratch (the pre-cache behaviour;
         results are bit-identical either way).  The cache is bypassed
         automatically when an attached fault map draws time-varying
@@ -346,34 +403,38 @@ class DistanceAccelerator:
             return self.params.decode_steps(voltage)
         return self.params.decode(voltage)
 
-    def _adc_read(self, voltage: float) -> float:
-        if not self.quantise_io:
-            return voltage
-        return float(
-            self.adc.convert([voltage + self._fault_adc_offset()])[0]
-        )
-
-    def _overflowed(self, voltages: np.ndarray, raw) -> bool:
+    def _overflowed(self, voltages: np.ndarray, raw) -> np.ndarray:
         """True when the ADC clipped or any internal node ran into a
         supply rail — either rail: subtractor chains can be driven
         *below* the negative rail just as adders saturate the positive
         one, and both invalidate the settled value.  ``raw`` may be a
-        scalar tap or an array of candidate taps.
+        scalar tap or an array of taps; a leading batch axis on both
+        gives one flag per batch row.
         """
         rail = self.params.vcc * 1.05
-        clipped = bool(
-            np.any(
-                np.asarray(raw)
-                > self.adc.spec.full_scale - self.adc.spec.lsb
-            )
+        clipped = np.any(
+            np.atleast_1d(raw)
+            > self.adc.spec.full_scale - self.adc.spec.lsb,
+            axis=-1,
         )
-        return bool(
+        return (
             clipped
-            or np.max(voltages) > rail
-            or np.min(voltages) < -rail
+            | (np.max(voltages, axis=-1) > rail)
+            | (np.min(voltages, axis=-1) < -rail)
         )
 
-    # -- graph-template cache ----------------------------------------------
+    def fits_row(self, function: str, length: int) -> bool:
+        """Whether a length-``length`` comparison of ``function`` fits
+        one array row — the precondition of the row-batched settle
+        (:meth:`batch`, :meth:`batch_pairs`).  Measured on the usable
+        width, so a chip remapped around dead sites decides for itself.
+        """
+        return (
+            get_config(function).structure == "row"
+            and length <= self.usable_cols
+        )
+
+    # -- the execution core: one template factory, one settle ----------------
     def _template_cache_active(self) -> bool:
         """Cache usable now?  Time-varying read disturb draws fresh
         noise per *build* (stateful RNG), so a frozen template would
@@ -385,34 +446,169 @@ class DistanceAccelerator:
 
     def _template(
         self,
-        key: Hashable,
-        build: "Callable[[], _GraphTemplate]",
+        config: FunctionConfig,
+        inputs: Sequence[np.ndarray],
+        pairs: Tuple[Tuple[int, int], ...],
+        weights: Sequence[np.ndarray],
+        threshold_v: float = 0.0,
+        band: Optional[float] = None,
+        paper_errata: bool = False,
+        boundary: Optional[Tuple[list, list, float]] = None,
     ) -> _GraphTemplate:
-        """Fetch-or-build a frozen graph template (LRU, per chip)."""
-        if not self._template_cache_active():
-            return build()
-        cached = self._templates.get(key)
-        if cached is not None:
-            self._templates.move_to_end(key)
-            self._template_hits += 1
-            return cached
-        self._template_misses += 1
-        template = build()
-        self._templates[key] = template
-        if len(self._templates) > self._template_capacity:
-            self._templates.popitem(last=False)
+        """Fetch or build, freeze and cache one array configuration.
+
+        ``inputs`` are the encoded voltages of the distinct operands,
+        one DAC row each; ``pairs`` holds each comparison's
+        ``(p_slot, q_slot)`` into them (the DAC sharing pattern: a
+        1-vs-many query loads one row driving every comparison) and
+        ``weights`` its weights.  Every pair owns one array row, and
+        one run of fault sites.  ``boundary`` (top, left, corner
+        voltages) builds a DP tile whose edges are rebindable sources
+        instead of the cold-start conditions.  The key holds exactly
+        what shapes the graph; the LRU cache is per chip.
+        """
+        key = None
+        if self._template_cache_active():
+            # An LCS tile with a 0 V corner shares the zero rail instead
+            # of a dedicated const: a different structure (see
+            # build_lcs_graph).
+            edges = None
+            if boundary is not None:
+                edges = config.name == "lcs" and boundary[2] == 0.0
+            key = (
+                config.name,
+                tuple(v.shape[0] for v in inputs),
+                pairs,
+                tuple(w.tobytes() for w in weights),
+                threshold_v,
+                band,
+                paper_errata,
+                edges,
+            )
+            cached = self._templates.get(key)
+            if cached is not None:
+                self._templates.move_to_end(key)
+                self._template_hits += 1
+                return cached
+            self._template_misses += 1
+
+        # Sources first, then each pair's PEs: a FaultedBlockGraph maps
+        # stages to fault sites in creation order.
+        graph = self._new_graph()
+        input_ids = [[graph.const(v) for v in volts] for volts in inputs]
+        cells: Dict[Tuple[int, int], int] = {}
+        edge_ids: Dict[str, list] = {}
+        minima: List[int] = []
+        # A DP tile takes rebindable edges and reports its cells.
+        dp: Dict[str, object] = {}
+        if boundary is not None:
+            dp = {
+                "boundary_top": boundary[0],
+                "boundary_left": boundary[1],
+                "boundary_corner": boundary[2],
+                "cells_out": cells,
+                "boundary_ids_out": edge_ids,
+            }
+        names = (
+            ["out"]
+            if len(pairs) == 1
+            else [f"cand{k}" for k in range(len(pairs))]
+        )
+        outs = []
+        # Builders are called by their module-level names, which is
+        # where tracing tools rebind them.
+        for (ps, qs), w, name in zip(pairs, weights, names):
+            p_ids, q_ids = input_ids[ps], input_ids[qs]
+            if config.name == "hamming":
+                out = build_hamming_graph(
+                    graph, p_ids, q_ids, w, self.params,
+                    threshold_v=threshold_v,
+                )
+            elif config.name == "manhattan":
+                out = build_manhattan_graph(
+                    graph, p_ids, q_ids, w, self.params
+                )
+            elif config.name == "hausdorff":
+                out = build_hausdorff_graph(
+                    graph, p_ids, q_ids, w, self.params,
+                    column_minima_out=minima,
+                )
+            elif config.name == "dtw":
+                out = build_dtw_graph(
+                    graph, p_ids, q_ids, w, self.params, band=band, **dp
+                )
+            elif config.name == "lcs":
+                out = build_lcs_graph(
+                    graph, p_ids, q_ids, w, self.params,
+                    threshold_v=threshold_v, **dp,
+                )
+            elif config.name == "edit":
+                out = build_edit_graph(
+                    graph, p_ids, q_ids, w, self.params,
+                    threshold_v=threshold_v, paper_errata=paper_errata,
+                    **dp,
+                )
+            else:
+                raise ConfigurationError(
+                    f"no PE builder for {config.name!r}"
+                )
+            graph.mark_output(name, out)
+            outs.append(out)
+        frozen = graph.freeze()
+        if boundary is not None:
+            input_ids += [
+                edge_ids.get(edge, []) for edge in ("top", "left", "corner")
+            ]
+        template = _GraphTemplate(
+            frozen=frozen,
+            n_blocks=len(graph),
+            base_const=frozen.const_values.copy(),
+            slots=[
+                np.searchsorted(
+                    frozen.const_ids, np.asarray(ids, dtype=np.intp)
+                )
+                for ids in input_ids
+            ],
+            outs=np.array(outs, dtype=np.intp),
+            names=names,
+            cells=cells,
+            minima=np.array(minima, dtype=np.intp),
+        )
+        if key is not None:
+            self._templates[key] = template
+            if len(self._templates) > self._template_capacity:
+                self._templates.popitem(last=False)
         return template
 
-    def _const_positions(
-        self, frozen: FrozenGraph, ids: Sequence[int]
-    ) -> np.ndarray:
-        """Positions of const block ids inside ``const_values``."""
-        return np.searchsorted(
-            frozen.const_ids, np.asarray(list(ids), dtype=np.intp)
-        )
+    def _settle(
+        self,
+        template: _GraphTemplate,
+        inputs: Sequence[np.ndarray],
+        measure_time: bool = False,
+        taps: Optional[np.ndarray] = None,
+    ) -> _Settled:
+        """Bind, solve, read through the ADC and check overflow.
 
-    def _solve(self, frozen: FrozenGraph) -> np.ndarray:
-        return dc_solve(frozen, method=self.solver)
+        ``taps`` are the blocks the ADC reads (default: every pair's
+        output).  Decoding stays with the caller: a row segment or a
+        Hausdorff tile reads a partial result whose decoded value only
+        exists after the digital accumulation.  With ``measure_time``
+        one transient records every pair's tap; the strobe waits for
+        the slowest row, so the convergence time is their max.
+        """
+        bound = template.bind(inputs)
+        voltages = dc_solve(bound, method=self.solver)
+        raw = voltages[..., template.outs]
+        read = raw if taps is None else voltages[..., taps]
+        if self.quantise_io:
+            read = self.adc.convert(read + self._fault_adc_offset())
+        t_conv = None
+        if measure_time:
+            times = measure_convergence_many(bound, template.names)
+            t_conv = max(t for t, _ in times.values())
+        return _Settled(
+            voltages, raw, read, self._overflowed(voltages, raw), t_conv
+        )
 
     # -- public API ----------------------------------------------------------
     def compute(
@@ -430,47 +626,37 @@ class DistanceAccelerator:
 
         Parameters mirror the software reference functions; ``threshold``
         is given in sequence-value units and converted to the comparator
-        voltage internally.
+        voltage internally.  Arguments the function does not read raise
+        :class:`~repro.errors.ConfigurationError` (see
+        :func:`check_options`).
         """
         config = get_config(function)
+        check_options(
+            config, threshold=threshold, band=band, paper_errata=paper_errata
+        )
         p_arr = as_sequence(p, "p")
         q_arr = as_sequence(q, "q")
         if not config.supports_unequal_lengths:
             require_same_length(p_arr, q_arr)
         n, m = p_arr.shape[0], q_arr.shape[0]
         threshold_v = float(threshold) * self.params.voltage_resolution
-
         if config.structure == "row":
             w = as_weight_vector(weights, n)
-            return self._compute_row(
-                config, p_arr, q_arr, w, threshold_v, measure_time
-            )
-        w = as_weight_matrix(weights, n, m)
-        fits = n <= self.usable_rows and m <= self.usable_cols
-        if fits:
-            return self._compute_single_tile(
-                config,
-                p_arr,
-                q_arr,
-                w,
-                threshold_v,
-                band,
-                measure_time,
-                paper_errata,
-            )
-        if config.name == "hausdorff":
-            return self._compute_tiled_hausdorff(
-                config, p_arr, q_arr, w, measure_time
-            )
-        return self._compute_tiled_dp(
-            config,
-            p_arr,
-            q_arr,
-            w,
-            threshold_v,
-            band,
-            measure_time,
-            paper_errata,
+            spans = [
+                slice(start - 1, end)
+                for start, end in plan_row_segments(n, self.usable_cols)
+            ]
+        else:
+            w = as_weight_matrix(weights, n, m)
+            if n > self.usable_rows or m > self.usable_cols:
+                return self._compute_tiled(
+                    config, p_arr, q_arr, w, threshold_v, band,
+                    measure_time, paper_errata,
+                )
+            spans = [slice(None)]
+        return self._compute_spans(
+            config, p_arr, q_arr, w, spans, threshold_v, band,
+            measure_time, paper_errata,
         )
 
     def distance(self, function: str, **fixed) -> Callable[..., float]:
@@ -505,7 +691,7 @@ class DistanceAccelerator:
         candidates cost additional passes (counted in ``passes`` and
         the time model).
         """
-        config = self._require_row_config(function)
+        config = self._row_config(function, threshold)
         if len(candidates) == 0:
             raise ConfigurationError("no candidates")
         q_arr = as_sequence(query, "query")
@@ -518,7 +704,7 @@ class DistanceAccelerator:
         w = as_weight_vector(weights, n)
         # The query loads once; every candidate loads its own row.
         dac_samples = n * (1 + len(pairs))
-        return self._batch_settle(
+        return self._batch(
             config,
             pairs,
             [w] * len(pairs),
@@ -544,7 +730,7 @@ class DistanceAccelerator:
         the serving layer's dynamic batcher coalesces concurrent
         queries into.
         """
-        config = self._require_row_config(function)
+        config = self._row_config(function, threshold)
         if len(pairs) == 0:
             raise ConfigurationError("no pairs")
         checked = []
@@ -568,7 +754,7 @@ class DistanceAccelerator:
                 for w, (p, _) in zip(weights, checked)
             ]
         dac_samples = sum(2 * p.shape[0] for p, _ in checked)
-        return self._batch_settle(
+        return self._batch(
             config,
             checked,
             weight_vectors,
@@ -576,17 +762,6 @@ class DistanceAccelerator:
             measure_time,
             dac_samples,
         )
-
-    def nearest(
-        self,
-        function: str,
-        query,
-        candidates: Sequence,
-        **kwargs,
-    ) -> int:
-        """Index of the closest candidate via one batched settle."""
-        result = self.batch(function, query, candidates, **kwargs)
-        return int(np.argmin(result.values))
 
     def compute_many(
         self,
@@ -602,15 +777,18 @@ class DistanceAccelerator:
         When every pair shares one graph structure — same lengths, one
         ``weights`` argument, and the workload fits the array without
         tiling — all pairs solve in a single vectorized settle of the
-        shared template (a ``(batch, n_const)`` rebind).  Each row of
-        the batched solve is bit-identical to the sequential
-        :meth:`compute` result; heterogeneous or tiled workloads fall
-        back to the sequential loop transparently.  This is the
-        primitive the BIST golden/probe runs and Monte-Carlo sweeps
-        amortize their settles with.  (Timing is never measured here;
-        use :meth:`compute` with ``measure_time=True`` for that.)
+        shared template (a ``(batch, n_const)`` rebind: the same array
+        row, B times).  Each row of the batched solve is bit-identical
+        to the sequential :meth:`compute` result; heterogeneous or tiled
+        workloads fall back to the sequential loop transparently.  This
+        is the primitive the BIST golden/probe runs and Monte-Carlo
+        sweeps amortize their settles with.  (Timing is never measured
+        here; use :meth:`compute` with ``measure_time=True`` for that.)
         """
         config = get_config(function)
+        check_options(
+            config, threshold=threshold, band=band, paper_errata=paper_errata
+        )
         checked = []
         for k, (p, q) in enumerate(pairs):
             p_arr = as_sequence(p, f"pairs[{k}][0]")
@@ -620,8 +798,17 @@ class DistanceAccelerator:
             checked.append((p_arr, q_arr))
         if not checked:
             return []
-
-        def sequential() -> "List[AcceleratorResult]":
+        shapes = {
+            (p_arr.shape[0], q_arr.shape[0]) for p_arr, q_arr in checked
+        }
+        n, m = next(iter(shapes))
+        row = config.structure == "row"
+        fits = (
+            n <= self.usable_cols
+            if row
+            else n <= self.usable_rows and m <= self.usable_cols
+        )
+        if len(shapes) != 1 or not fits:
             return [
                 self.compute(
                     function,
@@ -634,67 +821,46 @@ class DistanceAccelerator:
                 )
                 for p_arr, q_arr in checked
             ]
-
-        shapes = {
-            (p_arr.shape[0], q_arr.shape[0]) for p_arr, q_arr in checked
-        }
-        if len(shapes) != 1:
-            return sequential()
-        n, m = shapes.pop()
+        w = (
+            as_weight_vector(weights, n)
+            if row
+            else as_weight_matrix(weights, n, m)
+        )
+        inputs = [
+            np.stack([self._encode_inputs(p_arr) for p_arr, _ in checked]),
+            np.stack([self._encode_inputs(q_arr) for _, q_arr in checked]),
+        ]
         threshold_v = float(threshold) * self.params.voltage_resolution
-        if config.structure == "row":
-            if n > self.usable_cols:
-                return sequential()
-            w = as_weight_vector(weights, n)
-            pv0 = self._encode_inputs(checked[0][0])
-            qv0 = self._encode_inputs(checked[0][1])
-            template = self._row_segment_template(
-                config, pv0, qv0, w, threshold_v
-            )
-            conversion = self.dac.load_time(2 * n) + self.adc.read_time(1)
-        else:
-            if not (n <= self.usable_rows and m <= self.usable_cols):
-                return sequential()
-            w = as_weight_matrix(weights, n, m)
-            pv0 = self._encode_inputs(checked[0][0])
-            qv0 = self._encode_inputs(checked[0][1])
-            template = self._single_tile_template(
-                config, pv0, qv0, w, threshold_v, band, paper_errata
-            )
-            conversion = self.dac.load_time(n + m) + self.adc.read_time(1)
-
-        pvs = np.stack(
-            [self._encode_inputs(p_arr) for p_arr, _ in checked]
+        template = self._template(
+            config, [v[0] for v in inputs], _ONE_PAIR, [w], threshold_v,
+            band, paper_errata,
         )
-        qvs = np.stack(
-            [self._encode_inputs(q_arr) for _, q_arr in checked]
-        )
-        bound = template.bind({"p": pvs, "q": qvs})
-        voltages = self._solve(bound)
+        settled = self._settle(template, inputs)
+        conversion = self.dac.load_time(n + m) + self.adc.read_time(1)
         results: "List[AcceleratorResult]" = []
         for b in range(len(checked)):
-            raw = float(voltages[b, template.out])
-            adc_v = self._adc_read(raw)
-            # Row structure reports the post-ADC segment sum as its raw
-            # voltage (mirroring _compute_row's single-segment case).
-            raw_field = adc_v if config.structure == "row" else raw
+            adc_v = float(settled.read[b, 0])
             results.append(
                 AcceleratorResult(
                     function=config.name,
                     value=self._decode(config, adc_v),
-                    raw_voltage=raw_field,
+                    # Row structure reports the post-ADC segment sum as
+                    # its raw voltage, as compute does.
+                    raw_voltage=(
+                        adc_v if row else float(settled.raw[b, 0])
+                    ),
                     adc_voltage=adc_v,
                     convergence_time_s=None,
                     conversion_time_s=conversion,
                     total_time_s=None,
                     tiles=1,
-                    overflow=self._overflowed(voltages[b], raw),
+                    overflow=bool(settled.overflow[b]),
                     n_blocks=template.n_blocks,
                 )
             )
         return results
 
-    def _require_row_config(self, function: str) -> FunctionConfig:
+    def _row_config(self, function: str, threshold: float) -> FunctionConfig:
         config = get_config(function)
         if config.structure != "row":
             raise ConfigurationError(
@@ -702,9 +868,10 @@ class DistanceAccelerator:
                 "(hamming/manhattan); "
                 f"{config.name!r} uses the matrix structure"
             )
+        check_options(config, threshold=threshold)
         return config
 
-    def _batch_settle(
+    def _batch(
         self,
         config: FunctionConfig,
         pairs: "List[tuple]",
@@ -713,22 +880,14 @@ class DistanceAccelerator:
         measure_time: bool,
         dac_samples: int,
     ) -> BatchResult:
-        """One block graph, one settling, one result per pair.
-
-        The combined multi-row graph keeps the physical semantics (one
-        array row of hardware — and one run of fault sites — per pair),
-        so the template key must capture everything that shapes it: the
-        per-pair lengths, weights, and the input *sharing pattern* (a
-        1-vs-many query loads one DAC row driving every comparison).
-        """
-        threshold_v = threshold * self.params.voltage_resolution
-        for p_arr, _q_arr in pairs:
-            if p_arr.shape[0] > self.usable_cols:
-                raise ConfigurationError(
-                    "batch mode requires the sequence to fit one array "
-                    f"row; {p_arr.shape[0]} > {self.usable_cols} "
-                    "(use DistanceAccelerator.compute, which tiles)"
-                )
+        """One multi-row graph, one settle, one result per pair."""
+        longest = max(p_arr.shape[0] for p_arr, _ in pairs)
+        if not self.fits_row(config.name, longest):
+            raise ConfigurationError(
+                "batch mode requires the sequence to fit one array "
+                f"row; {longest} > {self.usable_cols} "
+                "(use DistanceAccelerator.compute, which tiles)"
+            )
         # Distinct input arrays, first-seen order, and each pair's
         # (p, q) as indices into them: the DAC sharing pattern.
         slot_of: Dict[int, int] = {}
@@ -740,405 +899,89 @@ class DistanceAccelerator:
                     slot_of[id(arr)] = len(arrays)
                     arrays.append(arr)
             pair_slots.append((slot_of[id(p_arr)], slot_of[id(q_arr)]))
-        key = (
-            "batch",
-            config.name,
-            threshold_v,
+        inputs = [self._encode_inputs(arr) for arr in arrays]
+        hits = self._template_hits
+        template = self._template(
+            config,
+            inputs,
             tuple(pair_slots),
-            tuple(arr.shape[0] for arr in arrays),
-            tuple(w.tobytes() for w in weight_vectors),
+            weight_vectors,
+            float(threshold) * self.params.voltage_resolution,
         )
-
-        def build() -> _GraphTemplate:
-            graph = self._new_graph()
-            slot_ids = [
-                [graph.const(v) for v in self._encode_inputs(arr)]
-                for arr in arrays
-            ]
-            outs: List[int] = []
-            for k, (ps, qs) in enumerate(pair_slots):
-                if config.name == "hamming":
-                    out = build_hamming_graph(
-                        graph,
-                        slot_ids[ps],
-                        slot_ids[qs],
-                        weight_vectors[k],
-                        self.params,
-                        threshold_v=threshold_v,
-                    )
-                else:
-                    out = build_manhattan_graph(
-                        graph,
-                        slot_ids[ps],
-                        slot_ids[qs],
-                        weight_vectors[k],
-                        self.params,
-                    )
-                graph.mark_output(f"cand{k}", out)
-                outs.append(out)
-            frozen = graph.freeze()
-            return _GraphTemplate(
-                frozen=frozen,
-                n_blocks=len(graph),
-                base_const=frozen.const_values.copy(),
-                slots={
-                    f"in{j}": self._const_positions(frozen, ids)
-                    for j, ids in enumerate(slot_ids)
-                },
-                outs=np.array(outs, dtype=np.intp),
-            )
-
-        was_cached = (
-            self._template_cache_active() and key in self._templates
-        )
-        template = self._template(key, build)
-        bound = template.bind(
-            {
-                f"in{j}": self._encode_inputs(arr)
-                for j, arr in enumerate(arrays)
-            }
-        )
-        voltages = self._solve(bound)
-        raw = voltages[template.outs]
-        overflow = self._overflowed(voltages, raw)
-        read = (
-            self.adc.convert(raw + self._fault_adc_offset())
-            if self.quantise_io
-            else raw
-        )
-        values = np.array(
-            [self._decode(config, float(v)) for v in read]
-        )
-
-        t_conv = None
-        if measure_time:
-            # One transient records every candidate tap; the strobe
-            # waits for the slowest row, so take the max.
-            times = measure_convergence_many(
-                bound, [f"cand{k}" for k in range(len(pairs))]
-            )
-            t_conv = max(t for t, _ in times.values())
-        passes = int(np.ceil(len(pairs) / self.usable_rows))
+        settled = self._settle(template, inputs, measure_time)
         conversion = self.dac.load_time(
             dac_samples
         ) + self.adc.read_time(len(pairs))
         return BatchResult(
             function=config.name,
-            values=values,
-            convergence_time_s=t_conv,
+            values=np.array(
+                [self._decode(config, float(v)) for v in settled.read]
+            ),
+            convergence_time_s=settled.t_conv,
             conversion_time_s=conversion,
-            passes=passes,
-            overflow=overflow,
-            template_cached=was_cached,
+            passes=int(np.ceil(len(pairs) / self.usable_rows)),
+            overflow=bool(settled.overflow),
+            template_cached=self._template_hits > hits,
         )
 
-    # -- single tile ---------------------------------------------------------
-    def _build(
-        self,
-        config: FunctionConfig,
-        graph: BlockGraph,
-        p_ids: List[int],
-        q_ids: List[int],
-        w: np.ndarray,
-        threshold_v: float,
-        band: Optional[float],
-        paper_errata: bool,
-        **boundary,
-    ) -> int:
-        if config.name == "dtw":
-            return build_dtw_graph(
-                graph, p_ids, q_ids, w, self.params, band=band, **boundary
-            )
-        if config.name == "lcs":
-            return build_lcs_graph(
-                graph,
-                p_ids,
-                q_ids,
-                w,
-                self.params,
-                threshold_v=threshold_v,
-                **boundary,
-            )
-        if config.name == "edit":
-            return build_edit_graph(
-                graph,
-                p_ids,
-                q_ids,
-                w,
-                self.params,
-                threshold_v=threshold_v,
-                paper_errata=paper_errata,
-                **boundary,
-            )
-        if config.name == "hausdorff":
-            return build_hausdorff_graph(
-                graph, p_ids, q_ids, w, self.params, **boundary
-            )
-        raise ConfigurationError(
-            f"no matrix builder for {config.name!r}"
-        )
-
-    def _single_tile_template(
-        self,
-        config: FunctionConfig,
-        pv: np.ndarray,
-        qv: np.ndarray,
-        w: np.ndarray,
-        threshold_v: float,
-        band: Optional[float],
-        paper_errata: bool,
-    ) -> _GraphTemplate:
-        key = (
-            "tile",
-            config.name,
-            pv.shape[0],
-            qv.shape[0],
-            threshold_v,
-            band,
-            paper_errata,
-            w.tobytes(),
-        )
-
-        def build() -> _GraphTemplate:
-            graph = self._new_graph()
-            p_ids = [graph.const(v) for v in pv]
-            q_ids = [graph.const(v) for v in qv]
-            out = self._build(
-                config, graph, p_ids, q_ids, w, threshold_v, band,
-                paper_errata,
-            )
-            graph.mark_output("out", out)
-            frozen = graph.freeze()
-            return _GraphTemplate(
-                frozen=frozen,
-                n_blocks=len(graph),
-                base_const=frozen.const_values.copy(),
-                slots={
-                    "p": self._const_positions(frozen, p_ids),
-                    "q": self._const_positions(frozen, q_ids),
-                },
-                out=out,
-            )
-
-        return self._template(key, build)
-
-    def _compute_single_tile(
+    # -- single pass and row segments --------------------------------------------
+    def _compute_spans(
         self,
         config: FunctionConfig,
         p_arr: np.ndarray,
         q_arr: np.ndarray,
         w: np.ndarray,
+        spans: "List[slice]",
         threshold_v: float,
         band: Optional[float],
         measure_time: bool,
         paper_errata: bool,
     ) -> AcceleratorResult:
-        pv = self._encode_inputs(p_arr)
-        qv = self._encode_inputs(q_arr)
-        template = self._single_tile_template(
-            config, pv, qv, w, threshold_v, band, paper_errata
-        )
-        bound = template.bind({"p": pv, "q": qv})
-        voltages = self._solve(bound)
-        raw = float(voltages[template.out])
-        t_conv = None
-        if measure_time:
-            t_conv, _ = measure_convergence(bound, "out")
-        adc_v = self._adc_read(raw)
-        conversion = self.dac.load_time(
-            p_arr.size + q_arr.size
-        ) + self.adc.read_time(1)
+        """One array pass per span: the whole pair when it fits, or the
+        row structure's array-width segments, whose ADC readings add up
+        digitally."""
+        total = t_conv = conversion = 0.0
+        overflow = False
+        blocks = 0
+        for span in spans:
+            inputs = [
+                self._encode_inputs(p_arr[span]),
+                self._encode_inputs(q_arr[span]),
+            ]
+            template = self._template(
+                config, inputs, _ONE_PAIR, [w[span]], threshold_v, band,
+                paper_errata,
+            )
+            settled = self._settle(template, inputs, measure_time)
+            adc_v = float(settled.read[0])
+            total += adc_v
+            overflow = overflow or bool(settled.overflow)
+            blocks += template.n_blocks
+            conversion += self.dac.load_time(
+                inputs[0].size + inputs[1].size
+            ) + self.adc.read_time(1)
+            if measure_time:
+                t_conv += settled.t_conv
+        if config.structure == "row":
+            # Segment readings add up digitally; the sum is the reading.
+            adc_v = raw = total
+        else:
+            raw = float(settled.raw[0])
         return AcceleratorResult(
             function=config.name,
             value=self._decode(config, adc_v),
             raw_voltage=raw,
             adc_voltage=adc_v,
-            convergence_time_s=t_conv,
+            convergence_time_s=t_conv if measure_time else None,
             conversion_time_s=conversion,
-            total_time_s=(
-                t_conv + conversion if t_conv is not None else None
-            ),
-            tiles=1,
-            overflow=self._overflowed(voltages, raw),
-            n_blocks=template.n_blocks,
-        )
-
-    # -- row structure ---------------------------------------------------------
-    def _row_segment_template(
-        self,
-        config: FunctionConfig,
-        pv: np.ndarray,
-        qv: np.ndarray,
-        w_seg: np.ndarray,
-        threshold_v: float,
-    ) -> _GraphTemplate:
-        key = (
-            "row",
-            config.name,
-            pv.shape[0],
-            threshold_v,
-            w_seg.tobytes(),
-        )
-
-        def build() -> _GraphTemplate:
-            graph = self._new_graph()
-            p_ids = [graph.const(v) for v in pv]
-            q_ids = [graph.const(v) for v in qv]
-            if config.name == "hamming":
-                out = build_hamming_graph(
-                    graph,
-                    p_ids,
-                    q_ids,
-                    w_seg,
-                    self.params,
-                    threshold_v=threshold_v,
-                )
-            else:
-                out = build_manhattan_graph(
-                    graph, p_ids, q_ids, w_seg, self.params
-                )
-            graph.mark_output("out", out)
-            frozen = graph.freeze()
-            return _GraphTemplate(
-                frozen=frozen,
-                n_blocks=len(graph),
-                base_const=frozen.const_values.copy(),
-                slots={
-                    "p": self._const_positions(frozen, p_ids),
-                    "q": self._const_positions(frozen, q_ids),
-                },
-                out=out,
-            )
-
-        return self._template(key, build)
-
-    def _compute_row(
-        self,
-        config: FunctionConfig,
-        p_arr: np.ndarray,
-        q_arr: np.ndarray,
-        w: np.ndarray,
-        threshold_v: float,
-        measure_time: bool,
-    ) -> AcceleratorResult:
-        n = p_arr.shape[0]
-        segments = plan_row_segments(n, self.usable_cols)
-        total_v = 0.0
-        t_conv_total = 0.0 if measure_time else None
-        conversion = 0.0
-        overflow = False
-        blocks = 0
-        for start, end in segments:
-            sl = slice(start - 1, end)
-            pv = self._encode_inputs(p_arr[sl])
-            qv = self._encode_inputs(q_arr[sl])
-            template = self._row_segment_template(
-                config, pv, qv, w[sl], threshold_v
-            )
-            bound = template.bind({"p": pv, "q": qv})
-            voltages = self._solve(bound)
-            raw = float(voltages[template.out])
-            overflow = overflow or self._overflowed(voltages, raw)
-            total_v += self._adc_read(raw)
-            blocks += template.n_blocks
-            conversion += self.dac.load_time(
-                2 * (end - start + 1)
-            ) + self.adc.read_time(1)
-            if measure_time:
-                t_seg, _ = measure_convergence(bound, "out")
-                t_conv_total += t_seg
-        return AcceleratorResult(
-            function=config.name,
-            value=self._decode(config, total_v),
-            raw_voltage=total_v,
-            adc_voltage=total_v,
-            convergence_time_s=t_conv_total,
-            conversion_time_s=conversion,
-            total_time_s=(
-                t_conv_total + conversion
-                if t_conv_total is not None
-                else None
-            ),
-            tiles=len(segments),
+            total_time_s=t_conv + conversion if measure_time else None,
+            tiles=len(spans),
             overflow=overflow,
             n_blocks=blocks,
         )
 
-    # -- tiled matrix DP ---------------------------------------------------------
-    def _dp_tile_template(
-        self,
-        config: FunctionConfig,
-        pv: np.ndarray,
-        qv: np.ndarray,
-        w_tile: np.ndarray,
-        threshold_v: float,
-        paper_errata: bool,
-        top: List[float],
-        left: List[float],
-        corner: float,
-    ) -> _GraphTemplate:
-        # An LCS tile with a 0 V corner shares the zero rail instead of
-        # a dedicated const — structurally a different graph, so the
-        # zero-ness is part of the key (see build_lcs_graph).
-        corner_shared = config.name == "lcs" and corner == 0.0
-        key = (
-            "dp",
-            config.name,
-            pv.shape[0],
-            qv.shape[0],
-            threshold_v,
-            paper_errata,
-            corner_shared,
-            w_tile.tobytes(),
-        )
-
-        def build() -> _GraphTemplate:
-            graph = self._new_graph()
-            p_ids = [graph.const(v) for v in pv]
-            q_ids = [graph.const(v) for v in qv]
-            cells: Dict[Tuple[int, int], int] = {}
-            boundary_ids: Dict[str, list] = {}
-            out = self._build(
-                config,
-                graph,
-                p_ids,
-                q_ids,
-                w_tile,
-                threshold_v,
-                None,
-                paper_errata,
-                cells_out=cells,
-                boundary_ids_out=boundary_ids,
-                boundary_top=top,
-                boundary_left=left,
-                boundary_corner=corner,
-            )
-            graph.mark_output("out", out)
-            frozen = graph.freeze()
-            return _GraphTemplate(
-                frozen=frozen,
-                n_blocks=len(graph),
-                base_const=frozen.const_values.copy(),
-                slots={
-                    "p": self._const_positions(frozen, p_ids),
-                    "q": self._const_positions(frozen, q_ids),
-                    "top": self._const_positions(
-                        frozen, boundary_ids.get("top", [])
-                    ),
-                    "left": self._const_positions(
-                        frozen, boundary_ids.get("left", [])
-                    ),
-                    "corner": self._const_positions(
-                        frozen, boundary_ids.get("corner", [])
-                    ),
-                },
-                out=out,
-                cells=cells,
-            )
-
-        return self._template(key, build)
-
-    def _compute_tiled_dp(
+    # -- tiled matrix structure ---------------------------------------------------
+    def _compute_tiled(
         self,
         config: FunctionConfig,
         p_arr: np.ndarray,
@@ -1149,6 +992,13 @@ class DistanceAccelerator:
         measure_time: bool,
         paper_errata: bool,
     ) -> AcceleratorResult:
+        """Array-sized tiles in row-major order.
+
+        DP functions carry each tile's bottom row and right column to
+        its neighbours across the ADC -> DAC boundary; Hausdorff reads
+        each tile's column minima and keeps the running minimum per
+        column digitally.
+        """
         if band is not None:
             raise CapacityError(
                 "band-constrained DTW is only supported when the "
@@ -1156,6 +1006,8 @@ class DistanceAccelerator:
                 "or drop the band"
             )
         n, m = p_arr.shape[0], q_arr.shape[0]
+        hausdorff = config.name == "hausdorff"
+        col_min = np.full(m, np.inf)
         dp = np.zeros((n + 1, m + 1))
         if config.name == "dtw":
             dp[0, 1:] = self.params.infinity_rail
@@ -1167,171 +1019,74 @@ class DistanceAccelerator:
         tiles = plan_matrix_tiles(
             n, m, self.usable_rows, self.usable_cols
         )
-        t_conv_total = 0.0 if measure_time else None
-        conversion = 0.0
+        t_conv = conversion = 0.0
         overflow = False
         blocks = 0
         for tile in tiles:
             i0, i1 = tile.row_start, tile.row_end
             j0, j1 = tile.col_start, tile.col_end
-            pv = self._encode_inputs(p_arr[i0 - 1 : i1])
-            qv = self._encode_inputs(q_arr[j0 - 1 : j1])
-            top = [
-                self._requantise(dp[i0 - 1, j]) for j in range(j0, j1 + 1)
+            inputs = [
+                self._encode_inputs(p_arr[i0 - 1 : i1]),
+                self._encode_inputs(q_arr[j0 - 1 : j1]),
             ]
-            left = [
-                self._requantise(dp[i, j0 - 1]) for i in range(i0, i1 + 1)
-            ]
-            corner = self._requantise(dp[i0 - 1, j0 - 1])
-            w_tile = w[i0 - 1 : i1, j0 - 1 : j1]
-            template = self._dp_tile_template(
-                config,
-                pv,
-                qv,
-                w_tile,
-                threshold_v,
-                paper_errata,
-                top,
-                left,
-                corner,
+            boundary = None
+            if not hausdorff:
+                top = [
+                    self._requantise(dp[i0 - 1, j])
+                    for j in range(j0, j1 + 1)
+                ]
+                left = [
+                    self._requantise(dp[i, j0 - 1])
+                    for i in range(i0, i1 + 1)
+                ]
+                corner = self._requantise(dp[i0 - 1, j0 - 1])
+                boundary = (top, left, corner)
+            template = self._template(
+                config, inputs, _ONE_PAIR, [w[i0 - 1 : i1, j0 - 1 : j1]],
+                threshold_v, None, paper_errata, boundary,
             )
-            updates = {
-                "p": pv,
-                "q": qv,
-                "top": np.asarray(top),
-                "left": np.asarray(left),
-                "corner": np.asarray([corner]),
-            }
-            bound = template.bind(updates)
-            voltages = self._solve(bound)
-            cells = template.cells or {}
-            raw_tile = float(voltages[template.out])
-            overflow = overflow or self._overflowed(voltages, raw_tile)
+            if hausdorff:
+                settled = self._settle(
+                    template, inputs, measure_time, taps=template.minima
+                )
+                for k, measured in enumerate(settled.read):
+                    j = j0 - 1 + k
+                    col_min[j] = min(col_min[j], float(measured))
+                loaded, exported = tile.n_rows + tile.n_cols, tile.n_cols
+            else:
+                edges = [np.asarray(top), np.asarray(left), [corner]]
+                settled = self._settle(
+                    template, inputs + edges, measure_time
+                )
+                # Export the bottom row and right column (what
+                # neighbours and the final readout need).
+                voltages, cells = settled.voltages, template.cells
+                for j in range(1, tile.n_cols + 1):
+                    dp[i1, j0 + j - 1] = voltages[cells[(tile.n_rows, j)]]
+                for i in range(1, tile.n_rows + 1):
+                    dp[i0 + i - 1, j1] = voltages[cells[(i, tile.n_cols)]]
+                exported = tile.n_rows + tile.n_cols - 1
+                loaded = tile.n_rows + tile.n_cols + exported
+            overflow = overflow or bool(settled.overflow)
             blocks += template.n_blocks
-            # Export the bottom row and right column (what neighbours
-            # and the final readout need).
-            for j in range(1, tile.n_cols + 1):
-                dp[i1, j0 + j - 1] = voltages[cells[(tile.n_rows, j)]]
-            for i in range(1, tile.n_rows + 1):
-                dp[i0 + i - 1, j1] = voltages[cells[(i, tile.n_cols)]]
-            exported = tile.n_rows + tile.n_cols - 1
-            conversion += self.dac.load_time(
-                tile.n_rows + tile.n_cols + exported
-            ) + self.adc.read_time(exported)
+            conversion += self.dac.load_time(loaded) + self.adc.read_time(
+                exported
+            )
             if measure_time:
-                t_tile, _ = measure_convergence(bound, "out")
-                t_conv_total += t_tile
-        raw = float(dp[n, m])
-        adc_v = self._adc_read(raw)
+                t_conv += settled.t_conv
+        if hausdorff:
+            raw = adc_v = float(np.max(col_min))
+        else:
+            # The last tile in row-major order ends at cell (n, m).
+            raw, adc_v = float(dp[n, m]), float(settled.read[0])
         return AcceleratorResult(
             function=config.name,
             value=self._decode(config, adc_v),
             raw_voltage=raw,
             adc_voltage=adc_v,
-            convergence_time_s=t_conv_total,
+            convergence_time_s=t_conv if measure_time else None,
             conversion_time_s=conversion,
-            total_time_s=(
-                t_conv_total + conversion
-                if t_conv_total is not None
-                else None
-            ),
-            tiles=len(tiles),
-            overflow=overflow,
-            n_blocks=blocks,
-        )
-
-    # -- tiled Hausdorff ---------------------------------------------------------
-    def _compute_tiled_hausdorff(
-        self,
-        config: FunctionConfig,
-        p_arr: np.ndarray,
-        q_arr: np.ndarray,
-        w: np.ndarray,
-        measure_time: bool,
-    ) -> AcceleratorResult:
-        n, m = p_arr.shape[0], q_arr.shape[0]
-        tiles = plan_matrix_tiles(
-            n, m, self.usable_rows, self.usable_cols
-        )
-        col_min = np.full(m, np.inf)
-        t_conv_total = 0.0 if measure_time else None
-        conversion = 0.0
-        overflow = False
-        blocks = 0
-        for tile in tiles:
-            i0, i1 = tile.row_start, tile.row_end
-            j0, j1 = tile.col_start, tile.col_end
-            pv = self._encode_inputs(p_arr[i0 - 1 : i1])
-            qv = self._encode_inputs(q_arr[j0 - 1 : j1])
-            w_tile = w[i0 - 1 : i1, j0 - 1 : j1]
-            key = (
-                "haud",
-                pv.shape[0],
-                qv.shape[0],
-                w_tile.tobytes(),
-            )
-
-            def build(
-                pv: np.ndarray = pv,
-                qv: np.ndarray = qv,
-                w_tile: np.ndarray = w_tile,
-            ) -> _GraphTemplate:
-                graph = self._new_graph()
-                p_ids = [graph.const(v) for v in pv]
-                q_ids = [graph.const(v) for v in qv]
-                minima_ids: List[int] = []
-                out = build_hausdorff_graph(
-                    graph,
-                    p_ids,
-                    q_ids,
-                    w_tile,
-                    self.params,
-                    column_minima_out=minima_ids,
-                )
-                graph.mark_output("out", out)
-                frozen = graph.freeze()
-                return _GraphTemplate(
-                    frozen=frozen,
-                    n_blocks=len(graph),
-                    base_const=frozen.const_values.copy(),
-                    slots={
-                        "p": self._const_positions(frozen, p_ids),
-                        "q": self._const_positions(frozen, q_ids),
-                    },
-                    out=out,
-                    minima=minima_ids,
-                )
-
-            template = self._template(key, build)
-            bound = template.bind({"p": pv, "q": qv})
-            voltages = self._solve(bound)
-            overflow = overflow or self._overflowed(
-                voltages, float(voltages[template.out])
-            )
-            blocks += template.n_blocks
-            for k, block_id in enumerate(template.minima or []):
-                measured = self._adc_read(float(voltages[block_id]))
-                j = j0 - 1 + k
-                col_min[j] = min(col_min[j], measured)
-            conversion += self.dac.load_time(
-                tile.n_rows + tile.n_cols
-            ) + self.adc.read_time(tile.n_cols)
-            if measure_time:
-                t_tile, _ = measure_convergence(bound, "out")
-                t_conv_total += t_tile
-        raw = float(np.max(col_min))
-        return AcceleratorResult(
-            function=config.name,
-            value=self._decode(config, raw),
-            raw_voltage=raw,
-            adc_voltage=raw,
-            convergence_time_s=t_conv_total,
-            conversion_time_s=conversion,
-            total_time_s=(
-                t_conv_total + conversion
-                if t_conv_total is not None
-                else None
-            ),
+            total_time_s=t_conv + conversion if measure_time else None,
             tiles=len(tiles),
             overflow=overflow,
             n_blocks=blocks,

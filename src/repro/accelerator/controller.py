@@ -179,61 +179,3 @@ class AcceleratorController:
             reconfiguration_time_s=reconfig_time,
             compute_time_s=compute_time,
         )
-
-    # -- batch helpers ---------------------------------------------------------
-    def pairwise(
-        self,
-        function: str,
-        series: Sequence,
-        **kwargs,
-    ) -> "tuple[np.ndarray, float]":
-        """Pairwise distance matrix plus the modelled array time.
-
-        Row-structure configurations process one comparison per PE row,
-        so ``array_rows`` pairs run concurrently; matrix configurations
-        hold one pair at a time.  Returns ``(matrix, modelled_time_s)``.
-        """
-        name = get_config(function).name
-        arrays = [as_sequence(s, f"series[{i}]") for i, s in enumerate(series)]
-        k = len(arrays)
-        out = np.zeros((k, k))
-        structure = get_config(name).structure
-        if structure == "row" and k > 1:
-            # Genuinely batched: row i against all later series in one
-            # (or a few) analog settles across the array rows.
-            total_passes = 0
-            pair_latency = None
-            for i in range(k - 1):
-                batch = self.accelerator.batch(
-                    name,
-                    arrays[i],
-                    arrays[i + 1 :],
-                    measure_time=(pair_latency is None),
-                    **kwargs,
-                )
-                if pair_latency is None:
-                    pair_latency = (
-                        batch.convergence_time_s
-                        + batch.conversion_time_s
-                    )
-                out[i, i + 1 :] = batch.values
-                out[i + 1 :, i] = batch.values
-                total_passes += batch.passes
-            modelled = total_passes * (pair_latency or 0.0)
-            return out, modelled
-
-        pair_latency = None
-        n_pairs = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                job = Job(name, arrays[i], arrays[j], **kwargs)
-                if pair_latency is None:
-                    pair_latency = self._latency(job)
-                value = self.accelerator.compute(
-                    name, arrays[i], arrays[j], **kwargs
-                ).value
-                out[i, j] = out[j, i] = value
-                n_pairs += 1
-        passes = n_pairs
-        modelled = passes * (pair_latency or 0.0)
-        return out, modelled

@@ -137,9 +137,10 @@ class AcceleratorBackend:
     """One simulated accelerator chip behind the protocol.
 
     Row-structure functions route 1-vs-many calls through the batched
-    settle (:meth:`DistanceAccelerator.batch`); matrix functions fall
-    back to per-pair execution — exactly the dispatch the paper's
-    control module performs.
+    settle (:meth:`DistanceAccelerator.batch`) when the query fits one
+    array row; matrix functions, and rows too long for one, fall back
+    to per-pair execution — exactly the dispatch the paper's control
+    module performs.
     """
 
     name = "accelerator"
@@ -177,15 +178,7 @@ class AcceleratorBackend:
         weights: Optional[ArrayLike] = None,
         **kwargs: Any,
     ) -> NDArray[np.float64]:
-        from .accelerator.configurations import get_config
-
-        config = get_config(function)
-        fits = (
-            config.structure == "row"
-            and np.asarray(query).shape[0]
-            <= self.accelerator.params.array_cols
-        )
-        if fits:
+        if self.accelerator.fits_row(function, np.asarray(query).shape[0]):
             return np.asarray(
                 self.accelerator.batch(
                     function, query, candidates, weights=weights, **kwargs
@@ -208,12 +201,15 @@ class AcceleratorBackend:
         series: Sequence[ArrayLike],
         **kwargs: Any,
     ) -> NDArray[np.float64]:
-        from .accelerator import AcceleratorController
-
-        matrix, _ = AcceleratorController(self.accelerator).pairwise(
-            function, series, **kwargs
-        )
-        return np.asarray(matrix, dtype=np.float64)
+        # Row i against every later series: one row-batched settle for
+        # the row structure, per-pair computes for the matrix one.
+        k = len(series)
+        matrix = np.zeros((k, k), dtype=np.float64)
+        for i in range(k - 1):
+            row = self.batch(function, series[i], series[i + 1 :], **kwargs)
+            matrix[i, i + 1 :] = row
+            matrix[i + 1 :, i] = row
+        return matrix
 
 
 def resolve_backend(

@@ -53,6 +53,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..accelerator import DistanceAccelerator, ReconfigurationCost
+from ..accelerator.array import check_options
 from ..accelerator.configurations import get_config
 from ..accelerator.power import accelerator_power
 from ..baselines.literature import CALIBRATED_OURS_PER_ELEMENT_S
@@ -385,6 +386,9 @@ class AcceleratorPool:
         ``default_deadline_s`` budget (when configured).
         """
         config = get_config(function)
+        # Admission runs the accelerator's own argument check: a request
+        # no shard can run is refused here, not failed inside drain().
+        check_options(config, **kwargs)
         p_arr = as_sequence(p, "p")
         q_arr = as_sequence(q, "q")
         if not config.supports_unequal_lengths:
@@ -572,11 +576,9 @@ class AcceleratorPool:
     def _batchable(self, request: PoolRequest, shard: _Shard) -> bool:
         if not self.config.enable_batching:
             return False
-        config = get_config(request.function)
-        if config.structure != "row":
-            return False
-        # Usable width, not nominal: dead PEs shrink the batch row.
-        if request.p.shape[0] > shard.accelerator.usable_cols:
+        if not shard.accelerator.fits_row(
+            request.function, request.p.shape[0]
+        ):
             return False
         # Only kwargs the batched settle understands may coalesce.
         return set(request.kwargs) <= {"threshold"}

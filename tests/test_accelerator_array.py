@@ -10,7 +10,7 @@ import pytest
 
 from repro import distances as sw
 from repro.accelerator import DistanceAccelerator
-from repro.errors import LengthMismatchError
+from repro.errors import ConfigurationError, LengthMismatchError
 
 FUNCTIONS = ["dtw", "lcs", "edit", "hausdorff", "hamming", "manhattan"]
 
@@ -165,3 +165,54 @@ class TestApiBehaviour:
         a = DistanceAccelerator().compute("dtw", p, q).value
         b = DistanceAccelerator().compute("dtw", p, q).value
         assert a == b
+
+
+class TestInapplicableArguments:
+    """An argument the function's graph would not read raises instead
+    of returning a value (and keying a duplicate template)."""
+
+    def test_band_on_lcs_rejected(self, accelerator, rng):
+        p, q = rng.normal(size=5), rng.normal(size=5)
+        with pytest.raises(ConfigurationError, match="band"):
+            accelerator.compute("lcs", p, q, threshold=0.5, band=1.0)
+
+    def test_threshold_on_dtw_rejected(self, accelerator, rng):
+        p, q = rng.normal(size=5), rng.normal(size=5)
+        with pytest.raises(ConfigurationError, match="threshold"):
+            accelerator.compute("dtw", p, q, threshold=0.5)
+
+    @pytest.mark.parametrize(
+        "function", ["dtw", "lcs", "hausdorff", "hamming", "manhattan"]
+    )
+    def test_paper_errata_outside_edit_rejected(
+        self, accelerator, rng, function
+    ):
+        p, q = rng.normal(size=5), rng.normal(size=5)
+        with pytest.raises(ConfigurationError, match="paper_errata"):
+            accelerator.compute(function, p, q, paper_errata=True)
+
+    def test_batch_entry_points_check_threshold(self, accelerator, rng):
+        p, q = rng.normal(size=5), rng.normal(size=5)
+        with pytest.raises(ConfigurationError, match="threshold"):
+            accelerator.batch("manhattan", p, [q], threshold=0.5)
+        with pytest.raises(ConfigurationError, match="threshold"):
+            accelerator.batch_pairs("manhattan", [(p, q)], threshold=0.5)
+        with pytest.raises(ConfigurationError, match="band"):
+            accelerator.compute_many("hausdorff", [(p, q)], band=2.0)
+
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_defaults_legal_everywhere(self, accelerator, rng, function):
+        p, q = rng.normal(size=5), rng.normal(size=5)
+        explicit = accelerator.compute(
+            function, p, q, threshold=0.0, band=None, paper_errata=False
+        )
+        assert explicit.value == accelerator.compute(function, p, q).value
+
+    def test_one_template_per_graph(self, rng):
+        chip = DistanceAccelerator()
+        p, q = rng.normal(size=5), rng.normal(size=5)
+        chip.compute("lcs", p, q, threshold=0.5)
+        chip.compute("lcs", q, p, threshold=0.5)
+        chip.compute("manhattan", p, q, threshold=0.0)
+        chip.compute("manhattan", q, p)
+        assert chip.template_cache_info()["misses"] == 2

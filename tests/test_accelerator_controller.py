@@ -1,6 +1,5 @@
 """Tests for the control/configuration module's job scheduler."""
 
-import numpy as np
 import pytest
 
 from repro.accelerator import (
@@ -99,26 +98,3 @@ class TestScheduling:
             report.reconfiguration_time_s + report.compute_time_s
         )
         assert report.compute_time_s > 0
-
-
-class TestPairwiseBatch:
-    def test_matrix_matches_software(self, controller, rng):
-        from repro.distances import manhattan
-
-        series = [rng.normal(size=6) for _ in range(4)]
-        matrix, _ = controller.pairwise("manhattan", series)
-        assert matrix[1, 2] == pytest.approx(
-            manhattan(series[1], series[2]), abs=1e-8
-        )
-        assert np.allclose(matrix, matrix.T)
-
-    def test_row_structure_batches_across_array_rows(self, rng):
-        ctl = AcceleratorController(
-            DistanceAccelerator(nonideality=IDEAL, quantise_io=False)
-        )
-        series = [rng.normal(size=6) for _ in range(5)]  # 10 pairs
-        _, t_row = ctl.pairwise("manhattan", series)
-        _, t_matrix = ctl.pairwise("dtw", series)
-        # 10 pairs fit one row-structure pass (128 rows) but need 10
-        # sequential matrix passes.
-        assert t_row < t_matrix

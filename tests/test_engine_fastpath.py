@@ -39,6 +39,7 @@ from repro.analog import (
 )
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.faults import (
+    DriftFault,
     FaultInjector,
     FaultState,
     StuckAtFault,
@@ -465,17 +466,17 @@ def _assert_same_result(fast, reference) -> None:
 def _timed_graphs(function, pairs, **kwargs):
     """The bound graphs ``compute(measure_time=True)`` hands to the
     convergence measurement, one per pair, from one chip (so they share
-    one template)."""
+    one template): the very graphs ``compute`` settles."""
     seen = []
 
-    def capture(bound, output, **_):
+    def capture(bound, *args, **kw):
         seen.append(bound)
-        return 0.0, 0.0
+        return dc_solve(bound, *args, **kw)
 
     chip = DistanceAccelerator(quantise_io=False)
-    with mock.patch.object(array_module, "measure_convergence", capture):
+    with mock.patch.object(array_module, "dc_solve", capture):
         for p, q in pairs:
-            chip.compute(function, p, q, measure_time=True, **kwargs)
+            chip.compute(function, p, q, **kwargs)
     return seen
 
 
@@ -691,3 +692,201 @@ class TestTransientEarlyExit:
             assert covered <= set(
                 np.flatnonzero(frozen.depth >= 1).tolist()
             )
+
+
+# -- differential suite over the public entry points ---------------------------
+_SMALL = AcceleratorParameters(array_rows=4, array_cols=4)
+
+
+def _chip(small: bool, fault: "str | None") -> DistanceAccelerator:
+    """A fresh chip: default or 4x4 (forces row segments, dp tiles and
+    Hausdorff tiles), optionally carrying a deterministic fault map."""
+    chip = (
+        DistanceAccelerator(params=_SMALL, validate=False)
+        if small
+        else DistanceAccelerator()
+    )
+    if fault == "stuck":
+        FaultInjector([StuckAtFault(rate=0.1)], seed=7).inject(chip)
+    elif fault == "drift":
+        FaultInjector([DriftFault(age_s=1.0e6)], seed=7).inject(chip)
+    return chip
+
+
+@st.composite
+def _entry_cases(draw):
+    """Function, operands, weights and every argument it reads."""
+    function = draw(st.sampled_from(ALL_FUNCTIONS))
+    config = get_config(function)
+    small = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6)) if config.supports_unequal_lengths else n
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (n,) if config.structure == "row" else (n, m)
+    weights = (
+        rng.uniform(0.5, 1.5, size=shape) if draw(st.booleans()) else None
+    )
+    kwargs = {}
+    if config.uses_threshold:
+        kwargs["threshold"] = draw(st.floats(0.0, 1.0))
+    # Band-constrained DTW cannot tile; the mixed-shape pair is one
+    # longer on each side.
+    tiled = small and max(n, m) + 1 > _SMALL.array_rows
+    if function == "dtw" and not tiled and draw(st.booleans()):
+        kwargs["band"] = draw(st.integers(max(1, abs(n - m)), max(n, m)))
+    if function == "edit":
+        kwargs["paper_errata"] = draw(st.booleans())
+    query = rng.normal(size=n)
+    candidates = [rng.normal(size=m) for _ in range(k)]
+    if draw(st.booleans()):
+        # Drive one row into the rails, so overflow differs by pair.
+        candidates[-1] = candidates[-1] * 40.0
+    return {
+        "function": function,
+        "small": small,
+        "fault": draw(st.sampled_from([None, "stuck", "drift"])),
+        "query": query,
+        "candidates": candidates,
+        # A pair of another shape, for the mixed-shape compute_many.
+        "other": (rng.normal(size=n + 1), rng.normal(size=m + 1)),
+        "weights": weights,
+        "kwargs": kwargs,
+    }
+
+
+def _read(results) -> list:
+    return [(r.value, r.overflow) for r in results]
+
+
+def _run_entry_points(chip: DistanceAccelerator, case) -> dict:
+    """Every public entry point on ``chip`` over the case's pairs."""
+    from repro.backends import AcceleratorBackend
+
+    f, w, kw = case["function"], case["weights"], case["kwargs"]
+    query, cands = case["query"], case["candidates"]
+    pairs = [(query, c) for c in cands]
+    out = {
+        "compute": _read(
+            chip.compute(f, p, q, weights=w, **kw) for p, q in pairs
+        ),
+        "compute_many": _read(
+            chip.compute_many(f, pairs, weights=w, **kw)
+        ),
+        "compute_many_mixed": _read(
+            chip.compute_many(f, pairs + [case["other"]], **kw)
+        ),
+        "compute_unweighted": _read(
+            chip.compute(f, p, q, **kw) for p, q in pairs + [case["other"]]
+        ),
+    }
+    backend = AcceleratorBackend(chip)
+    out["backend_batch"] = list(
+        backend.batch(f, query, cands, weights=w, **kw)
+    )
+    fits_row = (
+        get_config(f).structure == "row"
+        and query.shape[0] <= chip.usable_cols
+    )
+    if fits_row:
+        batch_kw = dict(kw, weights=w)
+        many = chip.batch(f, query, cands, **batch_kw)
+        out["batch"] = (list(many.values), many.overflow)
+        one = chip.batch(f, query, cands[:1], **batch_kw)
+        out["batch_1"] = (list(one.values), one.overflow)
+        pw = None if w is None else [w] * len(pairs)
+        threshold = kw.get("threshold", 0.0)
+        many = chip.batch_pairs(f, pairs, weights=pw, threshold=threshold)
+        out["batch_pairs"] = (list(many.values), many.overflow)
+        one = chip.batch_pairs(
+            f, pairs[:1], weights=pw and pw[:1], threshold=threshold
+        )
+        out["batch_pairs_1"] = (list(one.values), one.overflow)
+    if fits_row or get_config(f).structure == "matrix":
+        series = [query] + cands
+        # Matrix weights fit every pair of the series only when square.
+        square = w is not None and (w.ndim == 1 or w.shape[0] == w.shape[1])
+        pw_kw = dict(kw, weights=w) if square else dict(kw)
+        matrix = backend.pairwise(f, series, **pw_kw)
+        rows = [
+            list(backend.batch(f, series[i], series[i + 1 :], **pw_kw))
+            for i in range(len(series) - 1)
+        ]
+        out["pairwise"] = (matrix, rows)
+    return out
+
+
+class TestEntryPointsAgree:
+    """Every public way into the chip returns the same bits for the
+    same pair on the same chip: single, batched, tiled, cold and warm,
+    with and without a fault map."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_entry_cases())
+    def test_bitwise_equal_across_entry_points(self, case):
+        chip = _chip(case["small"], case["fault"])
+        cold = _run_entry_points(chip, case)
+        warm = _run_entry_points(chip, case)
+        uncached = _chip(case["small"], case["fault"])
+        uncached.use_template_cache = False
+        for name, got in _run_entry_points(uncached, case).items():
+            if name == "pairwise":
+                continue
+            assert got == cold[name], name
+        for name in cold:
+            if name == "pairwise":
+                assert np.array_equal(warm[name][0], cold[name][0])
+                continue
+            assert warm[name] == cold[name], name
+
+        singles = cold["compute"]
+        assert cold["compute_many"] == singles
+        assert cold["compute_many_mixed"] == cold["compute_unweighted"]
+        if "batch" in cold:
+            # One candidate is one row of the array: the compute graph.
+            assert cold["batch_1"] == (
+                [singles[0][0]], singles[0][1]
+            )
+            assert cold["batch_pairs_1"] == cold["batch_1"]
+            # k candidates: one row per pair, whichever way they arrive.
+            assert cold["batch_pairs"] == cold["batch"]
+            assert cold["backend_batch"] == cold["batch"][0]
+        else:
+            assert cold["backend_batch"] == [v for v, _ in singles]
+        if "pairwise" in cold:
+            matrix, rows = cold["pairwise"]
+            for i, row in enumerate(rows):
+                assert list(matrix[i, i + 1 :]) == row
+                assert list(matrix[i + 1 :, i]) == row
+            assert np.all(np.diag(matrix) == 0.0)
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        function=st.sampled_from(["hamming", "manhattan"]),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        weighted=st.booleans(),
+    )
+    def test_timed_compute_matches_one_candidate_batch(
+        self, function, n, seed, weighted
+    ):
+        rng = np.random.default_rng(seed)
+        p, q = rng.normal(size=n), rng.normal(size=n)
+        w = rng.uniform(0.5, 1.5, size=n) if weighted else None
+        chip = DistanceAccelerator(quantise_io=False)
+        single = chip.compute(
+            function, p, q, weights=w, measure_time=True, **_kwargs(function)
+        )
+        batch = chip.batch(
+            function, p, [q], weights=w, measure_time=True, **_kwargs(function)
+        )
+        assert single.convergence_time_s == batch.convergence_time_s
+        assert [single.value] == list(batch.values)

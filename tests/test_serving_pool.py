@@ -165,6 +165,19 @@ class TestPoolServing:
             sw.dtw(p, q), abs=1e-8
         )
 
+    def test_unrunnable_request_refused_at_admission(self, rng):
+        pool = make_pool(n_shards=1)
+        p, q = rng.normal(size=6), rng.normal(size=6)
+        with pytest.raises(ConfigurationError, match="bogus"):
+            pool.submit("dtw", p, q, bogus=1)
+        with pytest.raises(ConfigurationError, match="threshold"):
+            pool.submit("manhattan", p, q, threshold=0.5)
+        rid = pool.submit("dtw", p, q)
+        responses = pool.drain()
+        assert [r.request_id for r in responses] == [rid]
+        assert responses[0].status == "ok"
+        assert responses[0].value == pytest.approx(sw.dtw(p, q), abs=1e-8)
+
     def test_requests_spread_across_shards(self, rng):
         pool = make_pool(n_shards=4, enable_batching=False)
         for _ in range(4):
