@@ -11,7 +11,7 @@ memristor write pulses (~1 us each, Section 4.2's transition time).
 
 :class:`AcceleratorController` schedules a job list, accounts
 reconfiguration and compute time (caching measured convergence times
-per (function, length) operating point), and executes everything on an
+per :func:`operating_point`), and executes everything on an
 underlying :class:`~repro.accelerator.DistanceAccelerator`.
 """
 
@@ -26,6 +26,33 @@ from ..errors import ConfigurationError
 from ..validation import as_sequence
 from .array import AcceleratorResult, DistanceAccelerator
 from .configurations import get_config
+
+
+def operating_point(
+    function: str,
+    p: np.ndarray,
+    q: np.ndarray,
+    weights=None,
+    kwargs: Optional[Dict] = None,
+) -> Tuple:
+    """Memo key of one measured settle time.
+
+    Settle time depends on the programmed conductance pattern, not
+    just the operand lengths: a weighted request builds a different
+    graph than an unweighted one of the same lengths, and kwargs
+    (threshold, band) change the comparator network.
+    """
+    digest = None
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        digest = (w.shape, w.tobytes())
+    return (
+        function,
+        p.shape[0],
+        q.shape[0],
+        digest,
+        tuple(sorted((kwargs or {}).items())),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,17 +132,19 @@ class AcceleratorController:
             else DistanceAccelerator()
         )
         self.reconfiguration = reconfiguration
-        self._latency_cache: Dict[Tuple[str, int, int], float] = {}
+        self._latency_cache: Dict[Tuple, float] = {}
         self.current_function: Optional[str] = None
 
     # -- latency model -----------------------------------------------------
     def _latency(self, job: Job) -> float:
         """Convergence + conversion latency for a job's operating point.
 
-        Measured once per (function, n, m) and cached — the control
-        module knows its own timing closure.
+        Measured once per :func:`operating_point` and cached — the
+        control module knows its own timing closure.
         """
-        key = (job.function, job.p.shape[0], job.q.shape[0])
+        kwargs = dict(job.kwargs)
+        weights = kwargs.pop("weights", None)
+        key = operating_point(job.function, job.p, job.q, weights, kwargs)
         if key not in self._latency_cache:
             probe = self.accelerator.compute(
                 job.function,

@@ -105,14 +105,6 @@ class DynamicBatcher:
         bucket = self._buckets.get(key)
         return len(bucket.items) if bucket is not None else 0
 
-    def next_deadline(self) -> Optional[float]:
-        """Earliest instant a bucket becomes due, if any are open."""
-        if not self._buckets:
-            return None
-        return min(
-            self._expiry_s(b) for b in self._buckets.values()
-        )
-
     def dispatch_time(
         self, items: List, first_arrival_s: float
     ) -> float:

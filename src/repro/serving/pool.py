@@ -54,6 +54,7 @@ import numpy as np
 
 from ..accelerator import DistanceAccelerator, ReconfigurationCost
 from ..accelerator.array import check_options
+from ..accelerator.controller import operating_point
 from ..accelerator.configurations import get_config
 from ..accelerator.power import accelerator_power
 from ..baselines.literature import CALIBRATED_OURS_PER_ELEMENT_S
@@ -435,9 +436,9 @@ class AcceleratorPool:
             if self._first_arrival is None:
                 self._first_arrival = request.arrival_s
             self._maybe_bist(request.arrival_s)
-            self._flush_due(request.arrival_s)
+            self._flush(request.arrival_s)
             self._admit(request)
-        self._flush_remaining()
+        self._flush()
         self._virtual_now = max(self._virtual_now, self._last_finish)
         done = [self.responses[r.id] for r in requests]
         return sorted(done, key=lambda resp: resp.request_id)
@@ -460,118 +461,41 @@ class AcceleratorPool:
             "cache_hits" if cached is not None else "cache_misses"
         ).inc()
         if cached is not None:
-            self._respond(
-                request,
-                PoolResponse(
-                    request_id=request.id,
-                    function=request.function,
-                    status="ok",
-                    value=cached,
-                    arrival_s=request.arrival_s,
-                    start_s=request.arrival_s,
-                    finish_s=request.arrival_s,
-                    cached=True,
-                ),
-            )
+            self._respond(request, "ok", value=cached, cached=True)
             return
 
         shard = self._pick_shard(request)
-        # Deadline fail-fast: when even the optimistic single-settle
-        # estimate cannot land before the deadline, expire now instead
-        # of burning a settle on a doomed request.
+        flush_by = None
         if request.deadline_s is not None:
-            earliest = (
-                max(request.arrival_s, shard.busy_until)
-                + self._estimate_service(shard, request)
-            )
+            # Deadline fail-fast: when even the optimistic single-settle
+            # estimate cannot land before the deadline, expire now
+            # instead of burning a settle on a doomed request.
+            estimate = _estimate_service(request, shard.accelerator)
+            earliest = max(request.arrival_s, shard.busy_until) + estimate
             if (
                 request.deadline_s < request.arrival_s
                 or earliest > request.deadline_s
             ):
-                self._expire(request, shard=shard)
+                self._respond(request, "deadline", shard=shard)
                 return
+            flush_by = request.deadline_s - estimate
         if shard.depth_at(request.arrival_s) >= self.config.queue_depth:
-            self._shed(request, shard=shard)
+            self._respond(request, "shed", shard=shard)
             return
 
-        shard.breaker.acquire_probe(request.arrival_s)
-        if self._batchable(request, shard):
-            batch_key = self._batch_key(request)
-            flush_by = None
-            if request.deadline_s is not None:
-                flush_by = request.deadline_s - self._estimate_service(
-                    shard, request
-                )
-                request.flush_by_s = flush_by
-            full = shard.batcher.add(
-                batch_key,
-                request,
-                request.arrival_s,
-                flush_by=flush_by,
-            )
-            if full is not None:
-                self._execute_batch(shard, full, request.arrival_s)
-        else:
+        if not self._batchable(request, shard):
             self._execute_single(shard, request)
-
-    def _shed(
-        self, request: PoolRequest, shard: Optional[_Shard] = None
-    ) -> None:
-        self.metrics.counter("shed").inc()
-        self._respond(
+            return
+        shard.breaker.acquire_probe(request.arrival_s)
+        request.flush_by_s = flush_by
+        full = shard.batcher.add(
+            self._batch_key(request),
             request,
-            PoolResponse(
-                request_id=request.id,
-                function=request.function,
-                status="shed",
-                value=None,
-                arrival_s=request.arrival_s,
-                start_s=request.arrival_s,
-                finish_s=request.arrival_s,
-                shard=None if shard is None else shard.index,
-            ),
+            request.arrival_s,
+            flush_by=flush_by,
         )
-
-    def _expire(
-        self,
-        request: PoolRequest,
-        shard: Optional[_Shard] = None,
-        start_s: Optional[float] = None,
-        finish_s: Optional[float] = None,
-    ) -> None:
-        """Answer ``request`` with status ``"deadline"``."""
-        self.metrics.counter("deadline_exceeded").inc()
-        self._respond(
-            request,
-            PoolResponse(
-                request_id=request.id,
-                function=request.function,
-                status="deadline",
-                value=None,
-                arrival_s=request.arrival_s,
-                start_s=(
-                    request.arrival_s if start_s is None else start_s
-                ),
-                finish_s=(
-                    request.arrival_s
-                    if finish_s is None
-                    else finish_s
-                ),
-                shard=None if shard is None else shard.index,
-            ),
-        )
-
-    def _estimate_service(
-        self, shard: _Shard, request: PoolRequest
-    ) -> float:
-        """Cheap calibrated estimate of one single-query service."""
-        n = int(max(request.p.shape[0], request.q.shape[0]))
-        acc = shard.accelerator
-        return (
-            CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
-            + acc.dac.load_time(request.p.size + request.q.size)
-            + acc.adc.read_time(1)
-        )
+        if full is not None:
+            self._execute_batch(shard, full, request.arrival_s)
 
     def _batchable(self, request: PoolRequest, shard: _Shard) -> bool:
         if not self.config.enable_batching:
@@ -611,19 +535,15 @@ class AcceleratorPool:
 
     def _pick_shard(self, request: PoolRequest) -> _Shard:
         """Least-loaded healthy shard; function affinity breaks ties."""
-        active = self._active_shards()
-        if not active:
-            raise ShardUnhealthyError(
-                f"all {len(self.shards)} shards are quarantined; "
-                f"request {request.id} ({request.function}) cannot "
-                "be served — repair or replace the pool"
-            )
-        placeable = [
-            s
-            for s in active
-            if s.breaker.available(request.arrival_s)
-        ]
+        placeable = self._placeable_shards(request.arrival_s)
         if not placeable:
+            active = self._active_shards()
+            if not active:
+                raise ShardUnhealthyError(
+                    f"all {len(self.shards)} shards are quarantined; "
+                    f"request {request.id} ({request.function}) cannot "
+                    "be served — repair or replace the pool"
+                )
             raise CircuitOpenError(
                 f"all {len(active)} active shards sit behind open "
                 f"circuit breakers at t={request.arrival_s:.3g}s; "
@@ -651,18 +571,14 @@ class AcceleratorPool:
 
         return min(placeable, key=score)
 
-    def _flush_due(self, now: float) -> None:
+    def _flush(self, now: Optional[float] = None) -> None:
+        """Execute every batch due at ``now``; with no ``now`` (end of
+        stream), every batch still open."""
         for shard in self.shards:
-            for _, items in shard.batcher.due(now):
-                dispatch = shard.batcher.dispatch_time(
-                    items, items[0].arrival_s
-                )
-                self._execute_batch(shard, items, dispatch)
-
-    def _flush_remaining(self) -> None:
-        for shard in self.shards:
-            for _, items in shard.batcher.flush():
-                dispatch = shard.batcher.dispatch_time(
+            batcher = shard.batcher
+            ready = batcher.flush() if now is None else batcher.due(now)
+            for _, items in ready:
+                dispatch = batcher.dispatch_time(
                     items, items[0].arrival_s
                 )
                 self._execute_batch(shard, items, dispatch)
@@ -705,7 +621,7 @@ class AcceleratorPool:
         if interval <= 0:
             return
         if now - self._last_bist_s >= interval:
-            self._flush_due(now)
+            self._flush(now)
             self.run_bist(now=now)
 
     def run_bist(self, now: Optional[float] = None) -> Dict[int, object]:
@@ -806,7 +722,7 @@ class AcceleratorPool:
             if not self._active_shards() or (
                 backoff_attempt >= policy.max_retries
             ):
-                self._shed(request, shard=shard)
+                self._respond(request, "shed", shard=shard)
                 continue
             self._retries[request.id] = retries + 1
             self.metrics.counter("faults_retried").inc()
@@ -820,7 +736,7 @@ class AcceleratorPool:
             try:
                 self._admit(request)
             except ShardUnhealthyError:
-                self._shed(request, shard=shard)
+                self._respond(request, "shed", shard=shard)
 
     def replace_shard(
         self,
@@ -870,23 +786,14 @@ class AcceleratorPool:
         self, shard: _Shard, request: PoolRequest
     ) -> float:
         """One analog settle at this request's operating point."""
-        n = int(max(request.p.shape[0], request.q.shape[0]))
         if self.config.latency_model == "calibrated":
-            return CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
-        # Settle time depends on the programmed conductance pattern,
-        # not just the operating shape: a weighted request builds a
-        # different graph than an unweighted one of the same lengths,
-        # and kwargs (threshold, band) change the comparator network.
-        w = request.weights
-        weights_digest = (
-            None if w is None else (w.shape, w.tobytes())
-        )
-        key = (
+            return _calibrated_settle(request)
+        key = operating_point(
             request.function,
-            request.p.shape[0],
-            request.q.shape[0],
-            weights_digest,
-            tuple(sorted(request.kwargs.items())),
+            request.p,
+            request.q,
+            request.weights,
+            request.kwargs,
         )
         if key not in self._settle_cache:
             probe = shard.accelerator.compute(
@@ -900,27 +807,6 @@ class AcceleratorPool:
             self._settle_cache[key] = probe.convergence_time_s
         return self._settle_cache[key]
 
-    def _finish_execution(
-        self,
-        shard: _Shard,
-        function: str,
-        start_s: float,
-        service_s: float,
-        count: int,
-    ) -> float:
-        finish = start_s + service_s
-        shard.busy_until = finish
-        shard.busy_s += service_s
-        shard.served += count
-        shard.assign(finish, count)
-        self._last_finish = max(self._last_finish, finish)
-        self._energy_j += (
-            service_s * accelerator_power(function).total_w
-        )
-        if get_config(function).structure == "row":
-            self._row_busy_s += service_s
-        return finish
-
     def _maybe_hedge(
         self, shard: _Shard, request: PoolRequest
     ) -> Tuple[_Shard, bool]:
@@ -931,6 +817,8 @@ class AcceleratorPool:
         settle on the winner and "cancels" the loser before it does
         any work (no energy, no busy time) — the modelled equivalent
         of a hedged RPC whose losing leg is torn down on first byte.
+        Returns the shard that runs the settle and whether a hedge
+        fired.
         """
         if not self.config.enable_hedging:
             return shard, False
@@ -941,7 +829,7 @@ class AcceleratorPool:
         projected = (
             max(request.arrival_s, shard.busy_until)
             - request.arrival_s
-            + self._estimate_service(shard, request)
+            + _estimate_service(request, shard.accelerator)
         )
         if projected <= threshold:
             return shard, False
@@ -960,7 +848,6 @@ class AcceleratorPool:
         )
         if rival.busy_until < shard.busy_until:
             self.metrics.counter("hedges_won").inc()
-            rival.breaker.acquire_probe(request.arrival_s)
             return rival, True
         return shard, True
 
@@ -968,55 +855,31 @@ class AcceleratorPool:
         self, shard: _Shard, request: PoolRequest
     ) -> None:
         shard, hedged = self._maybe_hedge(shard, request)
+        # Only the shard that runs the settle holds a half-open probe:
+        # the breaker verdict lands on it alone.
+        shard.breaker.acquire_probe(request.arrival_s)
         start = max(request.arrival_s, shard.busy_until)
         reconfig = self._reconfigure(shard, request.function)
-        acc = shard.accelerator
-        result = acc.compute(
+        result = shard.accelerator.compute(
             request.function,
             request.p,
             request.q,
             weights=request.weights,
             **request.kwargs,
         )
-        if result.overflow:
-            self.metrics.counter("overflow").inc()
-        service = (
-            reconfig
-            + self._settle_time(shard, request)
-            + acc.dac.load_time(request.p.size + request.q.size)
-            + acc.adc.read_time(1)
-        )
-        finish = self._finish_execution(
-            shard, request.function, start, service, 1
-        )
-        self.cache.put(self._cache_key(request), result.value)
-        latency = finish - request.arrival_s
-        slo = self.config.breaker.latency_slo_s
-        if result.overflow or (slo is not None and latency > slo):
-            shard.breaker.on_failure(finish)
-        else:
-            shard.breaker.on_success(finish)
-        if (
-            request.deadline_s is not None
-            and finish > request.deadline_s
-        ):
-            self._expire(
-                request, shard=shard, start_s=start, finish_s=finish
-            )
-            return
-        self._respond(
+        service = _estimate_service(
             request,
-            PoolResponse(
-                request_id=request.id,
-                function=request.function,
-                status="ok",
-                value=float(result.value),
-                arrival_s=request.arrival_s,
-                start_s=start,
-                finish_s=finish,
-                shard=shard.index,
-                hedged=hedged,
-            ),
+            shard.accelerator,
+            reconfig + self._settle_time(shard, request),
+        )
+        self._complete(
+            shard,
+            [request],
+            [result.value],
+            result.overflow,
+            start,
+            service,
+            hedged=hedged,
         )
 
     def _execute_batch(
@@ -1028,23 +891,17 @@ class AcceleratorPool:
         start = max(dispatch_s, shard.busy_until)
         function = requests[0].function
         reconfig = self._reconfigure(shard, function)
-        acc = shard.accelerator
-        threshold = float(
-            requests[0].kwargs.get("threshold", 0.0)
-        )
         weights = (
             None
             if all(r.weights is None for r in requests)
             else [r.weights for r in requests]
         )
-        result = acc.batch_pairs(
+        result = shard.accelerator.batch_pairs(
             function,
             [(r.p, r.q) for r in requests],
             weights=weights,
-            threshold=threshold,
+            threshold=float(requests[0].kwargs.get("threshold", 0.0)),
         )
-        if result.overflow:
-            self.metrics.counter("overflow").inc()
         settle = self._settle_time(
             shard, max(requests, key=lambda r: r.p.shape[0])
         )
@@ -1053,31 +910,67 @@ class AcceleratorPool:
             + result.passes * settle
             + result.conversion_time_s
         )
-        finish = self._finish_execution(
-            shard, function, start, service, len(requests)
-        )
         shard.batches += 1
         self.metrics.counter("batches").inc()
         self.metrics.counter("batched_requests").inc(len(requests))
         self.metrics.histogram(
             "batch_size", low=1.0, high=512.0, n_buckets=32
         ).record(len(requests))
+        self._complete(
+            shard,
+            requests,
+            result.values,
+            result.overflow,
+            start,
+            service,
+            batched=True,
+        )
+
+    def _complete(
+        self,
+        shard: _Shard,
+        requests: List[PoolRequest],
+        values: Sequence[float],
+        overflow: bool,
+        start: float,
+        service: float,
+        batched: bool = False,
+        hedged: bool = False,
+    ) -> None:
+        """Account one settle on ``shard`` and answer its requests.
+
+        Busy time, energy and row-busy time, the breaker verdict
+        (overflow, or the worst latency past the SLO), the cache
+        writes, and per request an ``"ok"`` answer or a
+        ``"deadline"`` one when the finish overran its deadline.
+        """
+        function = requests[0].function
+        finish = start + service
+        shard.busy_until = finish
+        shard.busy_s += service
+        shard.served += len(requests)
+        shard.assign(finish, len(requests))
+        self._last_finish = max(self._last_finish, finish)
+        self._energy_j += service * accelerator_power(function).total_w
+        if get_config(function).structure == "row":
+            self._row_busy_s += service
+        if overflow:
+            self.metrics.counter("overflow").inc()
         slo = self.config.breaker.latency_slo_s
         worst_latency = finish - min(r.arrival_s for r in requests)
-        if result.overflow or (
-            slo is not None and worst_latency > slo
-        ):
+        if overflow or (slo is not None and worst_latency > slo):
             shard.breaker.on_failure(finish)
         else:
             shard.breaker.on_success(finish)
-        for request, value in zip(requests, result.values):
+        for request, value in zip(requests, values):
             self.cache.put(self._cache_key(request), float(value))
             if (
                 request.deadline_s is not None
                 and finish > request.deadline_s
             ):
-                self._expire(
+                self._respond(
                     request,
+                    "deadline",
                     shard=shard,
                     start_s=start,
                     finish_s=finish,
@@ -1085,25 +978,51 @@ class AcceleratorPool:
                 continue
             self._respond(
                 request,
-                PoolResponse(
-                    request_id=request.id,
-                    function=function,
-                    status="ok",
-                    value=float(value),
-                    arrival_s=request.arrival_s,
-                    start_s=start,
-                    finish_s=finish,
-                    shard=shard.index,
-                    batched=True,
-                    batch_size=len(requests),
-                ),
+                "ok",
+                shard=shard,
+                value=float(value),
+                start_s=start,
+                finish_s=finish,
+                batched=batched,
+                batch_size=len(requests),
+                hedged=hedged,
             )
 
     def _respond(
-        self, request: PoolRequest, response: PoolResponse
+        self,
+        request: PoolRequest,
+        status: str,
+        shard: Optional[_Shard] = None,
+        value: Optional[float] = None,
+        start_s: Optional[float] = None,
+        finish_s: Optional[float] = None,
+        cached: bool = False,
+        batched: bool = False,
+        batch_size: int = 1,
+        hedged: bool = False,
     ) -> None:
+        """Record the one terminal response of ``request``.
+
+        Answers without a settle (cache hits, shedding, admission-time
+        expiry) start and finish at the arrival instant.
+        """
+        arrival = request.arrival_s
+        response = PoolResponse(
+            request_id=request.id,
+            function=request.function,
+            status=status,
+            value=value,
+            arrival_s=arrival,
+            start_s=arrival if start_s is None else start_s,
+            finish_s=arrival if finish_s is None else finish_s,
+            shard=None if shard is None else shard.index,
+            cached=cached,
+            batched=batched,
+            batch_size=batch_size,
+            hedged=hedged,
+        )
         self.responses[request.id] = response
-        if response.status == "ok":
+        if status == "ok":
             self.metrics.counter("served").inc()
             self.metrics.histogram("latency").record(
                 response.latency_s
@@ -1111,6 +1030,10 @@ class AcceleratorPool:
             self.metrics.histogram(
                 f"latency.{request.function}"
             ).record(response.latency_s)
+        elif status == "shed":
+            self.metrics.counter("shed").inc()
+        else:
+            self.metrics.counter("deadline_exceeded").inc()
 
     # -- reporting -----------------------------------------------------------
     @property
@@ -1186,6 +1109,35 @@ class AcceleratorPool:
         return json.dumps(self.snapshot(), indent=indent)
 
 
+def _calibrated_settle(request: PoolRequest) -> float:
+    """Calibrated analog settle: per-element constant times length."""
+    n = int(max(request.p.shape[0], request.q.shape[0]))
+    return CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
+
+
+def _estimate_service(
+    request: PoolRequest,
+    accelerator: DistanceAccelerator,
+    head_s: Optional[float] = None,
+) -> float:
+    """One single-query service: ``head_s``, then the DAC load of both
+    operands, then one ADC read, summed in that order (virtual time is
+    compared bit for bit, so the association is part of the model).
+
+    ``head_s`` defaults to the calibrated settle — the cheap estimate
+    behind admission fail-fast, batch flush hints, hedging and the
+    serial-loop baseline.  A served single request passes its
+    reconfiguration plus its (calibrated or measured) settle.
+    """
+    if head_s is None:
+        head_s = _calibrated_settle(request)
+    return (
+        head_s
+        + accelerator.dac.load_time(request.p.size + request.q.size)
+        + accelerator.adc.read_time(1)
+    )
+
+
 def serial_loop_time(
     requests: Sequence[PoolRequest],
     accelerator: Optional[DistanceAccelerator] = None,
@@ -1207,14 +1159,7 @@ def serial_loop_time(
         if request.function != current:
             total += reconfiguration.switch_time(0)
             current = request.function
-        n = int(max(request.p.shape[0], request.q.shape[0]))
-        total += (
-            CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
-            + accelerator.dac.load_time(
-                request.p.size + request.q.size
-            )
-            + accelerator.adc.read_time(1)
-        )
+        total += _estimate_service(request, accelerator)
     return total
 
 

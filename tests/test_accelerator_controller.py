@@ -81,6 +81,23 @@ class TestScheduling:
         controller.run(jobs)
         assert len(controller._latency_cache) == 1
 
+    def test_latency_keyed_on_kwargs_not_order(self, rng):
+        # Regression: the latency memo keyed on (function, n, m) only,
+        # so a banded and an unbanded DTW job of one shape shared
+        # whichever latency was measured first.
+        p, q = rng.normal(size=6), rng.normal(size=6)
+        banded, unbanded = Job("dtw", p, q, band=1), Job("dtw", p, q)
+
+        def compute_time(jobs):
+            controller = AcceleratorController(
+                DistanceAccelerator(nonideality=IDEAL, quantise_io=False)
+            )
+            return controller.run(jobs, reorder=False).compute_time_s
+
+        alone = compute_time([banded]) + compute_time([unbanded])
+        assert compute_time([banded, unbanded]) == alone
+        assert compute_time([unbanded, banded]) == alone
+
     def test_sticky_configuration_across_runs(self, controller, rng):
         jobs = [Job("dtw", rng.normal(size=6), rng.normal(size=6))]
         first = controller.run(jobs)

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+import repro.serving.chaos as chaos
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.serving import (
@@ -21,6 +22,8 @@ from repro.serving import (
     SloSpec,
     run_chaos,
 )
+
+from .test_serving_pool import assert_drain_invariants
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,21 @@ class TestRunChaos:
         assert storm.counters["faults_quarantined"] == 2
         flapping = by_name["flapping_shard"]
         assert "trips=3" in flapping.notes
+
+    def test_flapping_shard_drains_keep_invariants(self, monkeypatch):
+        stacks = []
+        make_stack = chaos._make_stack
+
+        def recording(*args, **kwargs):
+            stacks.append(make_stack(*args, **kwargs))
+            return stacks[-1]
+
+        monkeypatch.setattr(chaos, "_make_stack", recording)
+        run_chaos(["flapping_shard"], smoke=True, seed=0)
+        (backend,) = stacks
+        pool = backend.primary.pool
+        assert pool.shards[0].breaker.trips == 3
+        assert_drain_invariants(pool)
 
     def test_scenario_subset(self):
         report = run_chaos(

@@ -865,6 +865,59 @@ class TestEntryPointsAgree:
             assert np.all(np.diag(matrix) == 0.0)
 
     @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_entry_cases())
+    def test_pool_paths_match_the_chip(self, case):
+        """A 1-shard pool on a copy of the reference chip answers with
+        the chip's bits: unbatched requests as ``compute``, a window of
+        row requests as one ``batch_pairs`` (each row settles on its
+        own PEs, so on a nonideal chip only row 0 is ``compute``'s
+        graph), and a resubmission from the cache as the first
+        answer."""
+        f, w, kw = case["function"], case["weights"], case["kwargs"]
+        pairs = [(case["query"], c) for c in case["candidates"]]
+        chip = _chip(case["small"], case["fault"])
+        singles = [chip.compute(f, p, q, weights=w, **kw).value for p, q in pairs]
+
+        def serve(pool):
+            for p, q in pairs:
+                pool.submit(f, p, q, weights=w, arrival_s=0.0, **kw)
+            return pool.drain()
+
+        def pool(**config):
+            return AcceleratorPool(
+                n_shards=1,
+                config=PoolConfig(**config),
+                accelerator_factory=lambda: _chip(case["small"], case["fault"]),
+            )
+
+        unbatched = pool(enable_batching=False)
+        first = serve(unbatched)
+        assert [r.value for r in first] == singles
+        assert not any(r.cached or r.batched for r in first)
+        again = serve(unbatched)
+        assert all(r.cached for r in again)
+        assert [r.value for r in again] == singles
+
+        batched = serve(pool(batch_window_s=1.0))
+        if chip.fits_row(f, case["query"].shape[0]):
+            rows = chip.batch_pairs(
+                f,
+                pairs,
+                weights=None if w is None else [w] * len(pairs),
+                threshold=kw.get("threshold", 0.0),
+            )
+            assert all(r.batch_size == len(pairs) for r in batched)
+            assert [r.value for r in batched] == list(rows.values)
+            assert batched[0].value == singles[0]
+        else:
+            assert not any(r.batched for r in batched)
+            assert [r.value for r in batched] == singles
+
+    @settings(
         max_examples=8,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],

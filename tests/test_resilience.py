@@ -36,6 +36,8 @@ from repro.serving import (
     RetryPolicy,
 )
 
+from .test_serving_pool import assert_drain_invariants
+
 SMALL = dataclasses.replace(PAPER_PARAMS, array_rows=12, array_cols=12)
 
 KILLER = FaultInjector(
@@ -253,6 +255,7 @@ class TestDeadlines:
         assert response.status == "deadline"
         assert response.value is None
         assert pool.metrics.counter("deadline_exceeded").value == 1
+        assert_drain_invariants(pool)
 
     def test_generous_deadline_serves(self):
         pool = make_pool(n_shards=1)
@@ -262,6 +265,7 @@ class TestDeadlines:
         (response,) = pool.drain()
         assert response.status == "ok"
         assert response.value == pytest.approx(3.0, rel=0.1)
+        assert_drain_invariants(pool)
 
     def test_default_deadline_budget_is_relative(self):
         pool = make_pool(n_shards=1, default_deadline_s=1.0)
@@ -284,6 +288,7 @@ class TestDeadlines:
         )
         statuses = sorted(r.status for r in pool.drain())
         assert statuses == ["deadline", "ok"]
+        assert_drain_invariants(pool)
 
     def test_batched_deadline_sets_flush_hint(self):
         pool = make_pool(
@@ -340,6 +345,30 @@ class TestHedging:
         assert pool.metrics.counter("hedges").value >= 1
         if pool.metrics.counter("hedges_won").value:
             assert response.hedged
+        assert_drain_invariants(pool)
+
+    def test_hedge_leaves_no_probe_on_the_shard_it_leaves(self):
+        # Regression: admission claimed a half-open probe slot on the
+        # picked shard before the hedge moved the request, and the
+        # breaker verdict went to the rival, so the slot leaked and
+        # the shard was never placeable again.
+        pool = make_pool(
+            n_shards=2, enable_hedging=True, hedge_min_samples=1
+        )
+        pool.submit("dtw", [1.0, 2.0], [2.0, 4.0])
+        pool.drain()
+        first, second = pool.shards
+        first.breaker.trip(0.0)  # zero cooldown: half-open at once
+        first.busy_until = 1e-3
+        second.assign(1.0)  # idle, but one deep, so placement picks 0
+        rid = pool.submit("dtw", [1.0, 2.0], [3.0, 4.0])
+        pool.drain()
+        response = pool.responses[rid]
+        assert response.status == "ok"
+        assert response.shard == 1 and response.hedged
+        assert first.breaker.state(2.0) == "half_open"
+        assert first.breaker.available(2.0)
+        assert_drain_invariants(pool)
 
     def test_hedging_off_by_default(self):
         pool = make_pool(n_shards=2)
@@ -347,6 +376,7 @@ class TestHedging:
         pool.submit("manhattan", [1.0], [2.0])
         pool.drain()
         assert pool.metrics.counter("hedges").value == 0
+        assert_drain_invariants(pool)
 
 
 class TestQuarantineReroute:
@@ -374,6 +404,7 @@ class TestQuarantineReroute:
         assert pool.metrics.counter("faults_quarantined").value == 1
         assert pool.metrics.counter("faults_retried").value > 0
         assert pool.metrics.counter("shed").value == 0
+        assert_drain_invariants(pool)
 
     def test_backoff_pushes_rearrival_after_budget(self):
         # fault_max_retries=0 means the very first displacement is
@@ -399,6 +430,7 @@ class TestQuarantineReroute:
         assert request.arrival_s >= 1e-4
         pool.drain()  # flushes the rerouted request
         assert pool.responses[rid].status == "ok"
+        assert_drain_invariants(pool)
 
     def test_last_shard_quarantine_sheds(self):
         pool = make_pool(n_shards=1)
@@ -407,6 +439,7 @@ class TestQuarantineReroute:
         pool._admit(request)
         pool._quarantine(pool.shards[0])
         assert pool.responses[rid].status == "shed"
+        assert_drain_invariants(pool)
 
 
 class TestReplaceShard:

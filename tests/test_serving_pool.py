@@ -40,6 +40,34 @@ def make_pool(n_shards=1, **config_kwargs) -> AcceleratorPool:
     )
 
 
+def assert_drain_invariants(pool: AcceleratorPool) -> None:
+    """What every drain must leave behind, whatever went wrong.
+
+    Exactly one terminal response per submitted id, with a legal
+    status and a value exactly when it is ``"ok"``; ``arrival <= start
+    <= finish``, and answers that never settled (cache hits, shedding)
+    start and finish at their arrival; the ``served`` counter counts
+    the ok answers (an answer recorded twice would overcount it).
+    """
+    counters = pool.metrics.as_dict()["counters"]
+    assert sorted(pool.responses) == list(range(counters["requests"]))
+    ok = 0
+    for request_id, response in pool.responses.items():
+        assert response.request_id == request_id
+        assert response.status in ("ok", "shed", "deadline")
+        assert (response.value is not None) == (response.status == "ok")
+        assert (
+            response.arrival_s <= response.start_s <= response.finish_s
+        )
+        if response.cached or response.status == "shed":
+            assert (
+                response.start_s == response.finish_s == response.arrival_s
+            )
+        assert response.latency_s == response.finish_s - response.arrival_s
+        ok += response.status == "ok"
+    assert counters.get("served", 0) == ok
+
+
 class TestMetrics:
     def test_counter_monotone(self):
         registry = MetricsRegistry()
@@ -144,12 +172,6 @@ class TestDynamicBatcher:
         assert batcher.pending() == 2
         assert len(batcher.flush()) == 2
 
-    def test_next_deadline(self):
-        batcher = DynamicBatcher(window_s=2.0, max_batch=10)
-        assert batcher.next_deadline() is None
-        batcher.add("k", 1, 1.0)
-        assert batcher.next_deadline() == 3.0
-
 
 class TestPoolServing:
     def test_values_match_software(self, rng):
@@ -238,6 +260,7 @@ class TestPoolServing:
         assert second.value == first.value
         assert second.latency_s == 0.0
         assert pool.cache.hits == 1
+        assert_drain_invariants(pool)
 
     def test_cached_results_also_come_from_batches(self, rng):
         pool = make_pool(n_shards=1, max_batch=2)
@@ -273,6 +296,7 @@ class TestPoolServing:
             for r in responses
             if r.status == "shed"
         )
+        assert_drain_invariants(pool)
 
     def test_counters_are_consistent(self, rng):
         pool = make_pool(n_shards=2)
@@ -407,6 +431,7 @@ class TestPoolBackend:
         expected = [sw.manhattan(query, c) for c in candidates]
         np.testing.assert_allclose(out, expected, atol=1e-8)
         assert pool.metrics.counter("shed").value > 0
+        assert_drain_invariants(pool)
 
     def test_capacity_error_when_retries_exhausted(self, rng):
         pool = make_pool(
