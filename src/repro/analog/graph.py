@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,13 +105,17 @@ class BlockGraph:
 
     # -- internals ---------------------------------------------------------
     def _add(self, block: _Block) -> int:
-        for src in block.inputs:
-            if not 0 <= src < len(self._blocks):
-                raise ConfigurationError(
-                    f"block input {src} does not exist yet"
-                )
+        n = len(self._blocks)
+        if block.inputs and not (
+            0 <= min(block.inputs) and max(block.inputs) < n
+        ):
+            for src in block.inputs:
+                if not 0 <= src < n:
+                    raise ConfigurationError(
+                        f"block input {src} does not exist yet"
+                    )
         self._blocks.append(block)
-        return len(self._blocks) - 1
+        return n
 
     def _amp_errors(self, noise_gain: float) -> Tuple[float, float]:
         """Systematic (gain, offset) pair for one amplifier stage."""
@@ -330,6 +335,110 @@ class BlockGraph:
         return FrozenGraph(self)
 
 
+def _csr_gather(
+    starts: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the ranges ``[starts[k], starts[k] + counts[k])``
+    laid back to back, and the offset of each range in them
+    (``counts.size + 1`` entries, the last one the total)."""
+    ptr = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=ptr[1:])
+    idx = np.repeat(starts - ptr[:-1], counts) + np.arange(
+        ptr[-1], dtype=np.intp
+    )
+    return idx, ptr
+
+
+#: Per block kind: the plan-field prefix, and the suffixes of the
+#: per-member :class:`FrozenGraph` arrays a plan carries its share of.
+_PLAN_KINDS = (
+    (KIND_CONST, "const", ()),
+    (KIND_LIN, "lin", ("const",)),
+    (KIND_ABSDIFF, "abs", ("a", "b", "w")),
+    (KIND_MAX, "max", ()),
+    (KIND_MIN, "min", ()),
+    (KIND_MUX, "mux", ("a", "b", "t", "f", "thr")),
+    (KIND_GATE, "gate", ("a", "b", "thr", "high", "low")),
+)
+#: Variable-arity kinds: edges packed for ``reduceat``.
+_EDGE_PREFIXES = ("lin", "max", "min")
+
+
+def _pack_plans(
+    frozen: "FrozenGraph", ids: np.ndarray, sizes: Sequence[int]
+) -> "List[_SubsetOps]":
+    """Evaluation plans for consecutive groups of ``ids``.
+
+    Group ``g`` is the next ``sizes[g]`` entries of ``ids``, ascending
+    inside the group.  Each kind's arrays are gathered once for every
+    group together; a plan holds slices of them (views, never written),
+    and only the lin/max/min ``reduceat`` offsets are rebased per group.
+    """
+    n_groups = len(sizes)
+    group = np.repeat(np.arange(n_groups), sizes)
+    starts = np.zeros(n_groups + 1, dtype=np.intp)
+    np.cumsum(sizes, out=starts[1:])
+    pos = np.arange(ids.size, dtype=np.intp) - starts[group]
+    kinds = frozen.kind[ids]
+    gain = frozen.gain[ids]
+    offset = frozen.offset[ids]
+    cuts = starts.tolist()
+    plans = []
+    for a, b in zip(cuts, cuts[1:]):
+        plan = _SubsetOps()
+        plan.ids = ids[a:b]
+        plan.gain = gain[a:b]
+        plan.offset = offset[a:b]
+        plan.rail = frozen.supply_rail
+        plans.append(plan)
+    for kind, prefix, fields in _PLAN_KINDS:
+        mask = kinds == kind
+        sel = ids[mask]
+        rank = np.searchsorted(getattr(frozen, f"{prefix}_ids"), sel)
+        members = [(f"{prefix}_pos", pos[mask])] + [
+            (f"{prefix}_{f}", getattr(frozen, f"{prefix}_{f}")[rank])
+            for f in fields
+        ]
+        if kind == KIND_CONST:
+            members.append(("const_take", rank))
+        edges = []
+        if prefix in _EDGE_PREFIXES:
+            idx, edge_ptr = _csr_gather(
+                getattr(frozen, f"{prefix}_ptr")[rank],
+                frozen.input_ptr[sel + 1] - frozen.input_ptr[sel],
+            )
+            edges.append(
+                (f"{prefix}_src", getattr(frozen, f"{prefix}_src")[idx])
+            )
+            if kind == KIND_LIN:
+                edges.append(("lin_w", frozen.lin_w[idx]))
+            edge_cuts = edge_ptr.tolist()
+        # Most groups hold no member of a kind: they share one empty
+        # array per field.
+        empty = [(name, values[:0]) for name, values in members + edges]
+        if edges:
+            empty.append((f"{prefix}_ptr", edge_ptr[:0]))
+        kind_cuts = np.zeros(n_groups + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(group[mask], minlength=n_groups),
+            out=kind_cuts[1:],
+        )
+        cuts = kind_cuts.tolist()
+        for plan, a, b in zip(plans, cuts, cuts[1:]):
+            if a == b:
+                for name, values in empty:
+                    setattr(plan, name, values)
+                continue
+            for name, values in members:
+                setattr(plan, name, values[a:b])
+            if edges:
+                e0, e1 = edge_cuts[a], edge_cuts[b]
+                for name, values in edges:
+                    setattr(plan, name, values[e0:e1])
+                setattr(plan, f"{prefix}_ptr", edge_ptr[a:b] - e0)
+    return plans
+
+
 class _SubsetOps:
     """Evaluation plan for a subset of a :class:`FrozenGraph`'s blocks.
 
@@ -337,6 +446,7 @@ class _SubsetOps:
     arrays) so one levelized pass — or the per-step transient update —
     touches only those blocks.  Source indices still address the full
     voltage vector; only the *written* positions are subset-local.
+    Built by :func:`_pack_plans`.
     """
 
     __slots__ = (
@@ -374,86 +484,6 @@ class _SubsetOps:
         "gate_high",
         "gate_low",
     )
-
-    def __init__(self, frozen: "FrozenGraph", ids: np.ndarray) -> None:
-        self.ids = ids
-        self.gain = frozen.gain[ids]
-        self.offset = frozen.offset[ids]
-        self.rail = frozen.supply_rail
-        kinds = frozen.kind[ids]
-        pos = np.arange(ids.size, dtype=np.intp)
-
-        def members(kind: int) -> Tuple[np.ndarray, np.ndarray]:
-            mask = kinds == kind
-            return ids[mask], pos[mask]
-
-        sel, self.const_pos = members(KIND_CONST)
-        self.const_take = np.searchsorted(frozen.const_ids, sel)
-
-        sel, self.lin_pos = members(KIND_LIN)
-        li = np.searchsorted(frozen.lin_ids, sel)
-        full_ptr = np.append(frozen.lin_ptr, frozen.lin_src.size)
-        src: List[int] = []
-        w: List[float] = []
-        ptr = [0]
-        for k in li:
-            s, e = int(full_ptr[k]), int(full_ptr[k + 1])
-            src.extend(frozen.lin_src[s:e])
-            w.extend(frozen.lin_w[s:e])
-            ptr.append(len(src))
-        self.lin_src = np.array(src, dtype=np.intp)
-        self.lin_w = np.array(w)
-        self.lin_ptr = np.array(ptr[:-1], dtype=np.intp)
-        self.lin_const = frozen.lin_const[li]
-
-        sel, self.abs_pos = members(KIND_ABSDIFF)
-        ai = np.searchsorted(frozen.abs_ids, sel)
-        self.abs_a = frozen.abs_a[ai]
-        self.abs_b = frozen.abs_b[ai]
-        self.abs_w = frozen.abs_w[ai]
-
-        def pack(
-            full_ids: np.ndarray,
-            full_src: np.ndarray,
-            full_ptr_arr: np.ndarray,
-            sel_ids: np.ndarray,
-        ) -> Tuple[np.ndarray, np.ndarray]:
-            ki = np.searchsorted(full_ids, sel_ids)
-            fptr = np.append(full_ptr_arr, full_src.size)
-            out_src: List[int] = []
-            out_ptr = [0]
-            for k in ki:
-                out_src.extend(full_src[int(fptr[k]) : int(fptr[k + 1])])
-                out_ptr.append(len(out_src))
-            return (
-                np.array(out_src, dtype=np.intp),
-                np.array(out_ptr[:-1], dtype=np.intp),
-            )
-
-        sel, self.max_pos = members(KIND_MAX)
-        self.max_src, self.max_ptr = pack(
-            frozen.max_ids, frozen.max_src, frozen.max_ptr, sel
-        )
-        sel, self.min_pos = members(KIND_MIN)
-        self.min_src, self.min_ptr = pack(
-            frozen.min_ids, frozen.min_src, frozen.min_ptr, sel
-        )
-
-        sel, self.mux_pos = members(KIND_MUX)
-        mi = np.searchsorted(frozen.mux_ids, sel)
-        self.mux_a = frozen.mux_a[mi]
-        self.mux_b = frozen.mux_b[mi]
-        self.mux_t = frozen.mux_t[mi]
-        self.mux_f = frozen.mux_f[mi]
-        self.mux_thr = frozen.mux_thr[mi]
-
-        sel, self.gate_pos = members(KIND_GATE)
-        gi = np.searchsorted(frozen.gate_ids, sel)
-        self.gate_a = frozen.gate_a[gi]
-        self.gate_b = frozen.gate_b[gi]
-        self.gate_thr = frozen.gate_thr[gi]
-        self.gate_high = frozen.gate_high[gi]
-        self.gate_low = frozen.gate_low[gi]
 
     def eval(self, v: np.ndarray, const_values: np.ndarray) -> np.ndarray:
         """The subset's settled targets, ``(*batch, ids.size)``.
@@ -528,123 +558,103 @@ class FrozenGraph:
         n = len(blocks)
         self.n_blocks = n
         self.outputs = dict(graph._outputs)
-        self.tau = np.array([b.tau for b in blocks])
+        taus = [b.tau for b in blocks]
+        inputs = [b.inputs for b in blocks]
+        self.tau = np.array(taus)
         self.kind = np.array([b.kind for b in blocks])
         self.gain = np.array([b.gain for b in blocks])
         self.offset = np.array([b.offset for b in blocks])
         self.labels = [b.label for b in blocks]
         self.supply_rail = graph.nonideality.supply_rail
-        self._inputs = [b.inputs for b in blocks]
+
+        #: Every block's inputs as one CSR: block ``i`` reads
+        #: ``input_src[input_ptr[i]:input_ptr[i + 1]]``.
+        arity = np.fromiter(map(len, inputs), dtype=np.intp, count=n)
+        self.input_ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(arity, out=self.input_ptr[1:])
+        self.input_src = np.fromiter(
+            itertools.chain.from_iterable(inputs),
+            dtype=np.intp,
+            count=int(self.input_ptr[-1]),
+        )
 
         # Critical-path settling budget: the sum of taus along the
         # slowest input chain of each block.  Cascaded first-order
         # stages settle in roughly ln(1/tol) times this, which sizes
         # the transient window without trial and error.
-        critical = np.zeros(n)
-        depth = np.zeros(n, dtype=np.intp)
-        for i, b in enumerate(blocks):
-            upstream = max(
-                (critical[s] for s in b.inputs), default=0.0
-            )
-            critical[i] = b.tau + upstream
-            if b.inputs:
-                depth[i] = 1 + max(depth[s] for s in b.inputs)
-        self.critical_tau = critical
+        critical = [0.0] * n
+        depth = [0] * n
+        critical_of, depth_of = critical.__getitem__, depth.__getitem__
+        for i, ins in enumerate(inputs):
+            if ins:
+                critical[i] = taus[i] + max(map(critical_of, ins))
+                depth[i] = 1 + max(map(depth_of, ins))
+            else:
+                critical[i] = taus[i] + 0.0
+        self.critical_tau = np.array(critical, dtype=np.float64)
         #: Topological depth per block (0 = sources); the levelized
         #: solver settles the graph in exactly ``n_levels`` passes.
-        self.depth = depth
-        self.n_levels = int(depth.max()) + 1 if n else 0
+        self.depth = np.array(depth, dtype=np.intp)
+        self.n_levels = max(depth) + 1 if n else 0
         # Lazily-built _SubsetOps, shared (by reference) with every
         # bound view so rebinding const_values never repacks edges.
         self._ops_cache: Dict[str, object] = {}
 
-        def ids_of(kind: int) -> np.ndarray:
-            return np.array(
-                [i for i, b in enumerate(blocks) if b.kind == kind],
-                dtype=np.intp,
-            )
+        def field(name: str, ids: np.ndarray) -> np.ndarray:
+            return np.array([getattr(blocks[i], name) for i in ids.tolist()])
+
+        def edges(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            idx, ptr = _csr_gather(self.input_ptr[ids], arity[ids])
+            return self.input_src[idx], ptr[:-1]
+
+        def operand(ids: np.ndarray, k: int) -> np.ndarray:
+            return self.input_src[self.input_ptr[ids] + k]
 
         # const
-        self.const_ids = ids_of(KIND_CONST)
-        self.const_values = np.array(
-            [blocks[i].constant for i in self.const_ids]
-        )
+        self.const_ids = np.flatnonzero(self.kind == KIND_CONST)
+        self.const_values = field("constant", self.const_ids)
 
         # lin: flat edge arrays + reduce offsets
-        self.lin_ids = ids_of(KIND_LIN)
-        lin_src: List[int] = []
-        lin_w: List[float] = []
-        lin_ptr = [0]
-        for i in self.lin_ids:
-            b = blocks[i]
-            lin_src.extend(b.inputs)
-            lin_w.extend(b.weights)
-            lin_ptr.append(len(lin_src))
-        self.lin_src = np.array(lin_src, dtype=np.intp)
-        self.lin_w = np.array(lin_w)
-        self.lin_ptr = np.array(lin_ptr[:-1], dtype=np.intp)
-        self.lin_const = np.array(
-            [blocks[i].constant for i in self.lin_ids]
+        self.lin_ids = np.flatnonzero(self.kind == KIND_LIN)
+        self.lin_src, self.lin_ptr = edges(self.lin_ids)
+        self.lin_w = np.fromiter(
+            itertools.chain.from_iterable(
+                blocks[i].weights for i in self.lin_ids.tolist()
+            ),
+            dtype=np.float64,
+            count=self.lin_src.size,
         )
+        self.lin_const = field("constant", self.lin_ids)
 
         # absdiff
-        self.abs_ids = ids_of(KIND_ABSDIFF)
-        self.abs_a = np.array(
-            [blocks[i].inputs[0] for i in self.abs_ids], dtype=np.intp
-        )
-        self.abs_b = np.array(
-            [blocks[i].inputs[1] for i in self.abs_ids], dtype=np.intp
-        )
+        self.abs_ids = np.flatnonzero(self.kind == KIND_ABSDIFF)
+        self.abs_a = operand(self.abs_ids, 0)
+        self.abs_b = operand(self.abs_ids, 1)
         self.abs_w = np.array(
-            [blocks[i].weights[0] for i in self.abs_ids]
+            [blocks[i].weights[0] for i in self.abs_ids.tolist()]
         )
 
         # max / min
-        self.max_ids = ids_of(KIND_MAX)
-        self.max_src, self.max_ptr = self._pack_edges(blocks, self.max_ids)
-        self.min_ids = ids_of(KIND_MIN)
-        self.min_src, self.min_ptr = self._pack_edges(blocks, self.min_ids)
+        self.max_ids = np.flatnonzero(self.kind == KIND_MAX)
+        self.max_src, self.max_ptr = edges(self.max_ids)
+        self.min_ids = np.flatnonzero(self.kind == KIND_MIN)
+        self.min_src, self.min_ptr = edges(self.min_ids)
 
         # mux
-        self.mux_ids = ids_of(KIND_MUX)
-        mux_in = np.array(
-            [blocks[i].inputs for i in self.mux_ids], dtype=np.intp
-        ).reshape(-1, 4)
-        self.mux_a = mux_in[:, 0]
-        self.mux_b = mux_in[:, 1]
-        self.mux_t = mux_in[:, 2]
-        self.mux_f = mux_in[:, 3]
-        self.mux_thr = np.array(
-            [blocks[i].threshold for i in self.mux_ids]
-        )
+        self.mux_ids = np.flatnonzero(self.kind == KIND_MUX)
+        self.mux_a = operand(self.mux_ids, 0)
+        self.mux_b = operand(self.mux_ids, 1)
+        self.mux_t = operand(self.mux_ids, 2)
+        self.mux_f = operand(self.mux_ids, 3)
+        self.mux_thr = field("threshold", self.mux_ids)
 
         # gate
-        self.gate_ids = ids_of(KIND_GATE)
-        gate_in = np.array(
-            [blocks[i].inputs for i in self.gate_ids], dtype=np.intp
-        ).reshape(-1, 2)
-        self.gate_a = gate_in[:, 0]
-        self.gate_b = gate_in[:, 1]
-        self.gate_thr = np.array(
-            [blocks[i].threshold for i in self.gate_ids]
-        )
-        self.gate_high = np.array(
-            [blocks[i].v_high for i in self.gate_ids]
-        )
-        self.gate_low = np.array(
-            [blocks[i].v_low for i in self.gate_ids]
-        )
-
-    @staticmethod
-    def _pack_edges(blocks, ids) -> Tuple[np.ndarray, np.ndarray]:
-        src: List[int] = []
-        ptr = [0]
-        for i in ids:
-            src.extend(blocks[i].inputs)
-            ptr.append(len(src))
-        return np.array(src, dtype=np.intp), np.array(
-            ptr[:-1], dtype=np.intp
-        )
+        self.gate_ids = np.flatnonzero(self.kind == KIND_GATE)
+        self.gate_a = operand(self.gate_ids, 0)
+        self.gate_b = operand(self.gate_ids, 1)
+        self.gate_thr = field("threshold", self.gate_ids)
+        self.gate_high = field("v_high", self.gate_ids)
+        self.gate_low = field("v_low", self.gate_ids)
 
     def stats(self) -> Dict[str, int]:
         """Block counts per kind plus depth — the analog resource view.
@@ -690,19 +700,20 @@ class FrozenGraph:
     def _level_ops(self) -> "List[_SubsetOps]":
         ops = self._ops_cache.get("levels")
         if ops is None:
-            ops = [
-                _SubsetOps(self, np.flatnonzero(self.depth == d))
-                for d in range(self.n_levels)
-            ]
+            # A stable sort keeps the ids ascending inside each level.
+            ops = _pack_plans(
+                self,
+                np.argsort(self.depth, kind="stable"),
+                np.bincount(self.depth, minlength=self.n_levels).tolist(),
+            )
             self._ops_cache["levels"] = ops
         return ops  # type: ignore[return-value]
 
     def _nonconst_ops(self) -> "_SubsetOps":
         ops = self._ops_cache.get("nonconst")
         if ops is None:
-            ops = _SubsetOps(
-                self, np.flatnonzero(self.kind != KIND_CONST)
-            )
+            ids = np.flatnonzero(self.kind != KIND_CONST)
+            ops = _pack_plans(self, ids, [ids.size])[0]
             self._ops_cache["nonconst"] = ops
         return ops  # type: ignore[return-value]
 
@@ -735,7 +746,8 @@ class FrozenGraph:
         key = f"suffix{start}"
         ops = self._ops_cache.get(key)
         if ops is None:
-            ops = _SubsetOps(self, np.flatnonzero(self.depth >= start))
+            ids = np.flatnonzero(self.depth >= start)
+            ops = _pack_plans(self, ids, [ids.size])[0]
             self._ops_cache[key] = ops
         return ops  # type: ignore[return-value]
 

@@ -27,7 +27,7 @@ the block records — no DC solve, no transient.
 from __future__ import annotations
 
 import math
-from typing import Optional, Set, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -108,20 +108,18 @@ def check_block_graph(
     # ERC101: blocks driving nothing.  A dead stage is either wasted
     # silicon or — worse — a mis-wired intermediate the designer meant
     # to consume.
-    consumed: Set[int] = set()
-    for inputs in frozen._inputs:
-        consumed.update(int(s) for s in inputs)
-    tapped = set(int(i) for i in outputs.values())
-    for i in range(n):
-        if i not in consumed and i not in tapped:
-            report.add(
-                ERC101,
-                Severity.WARNING,
-                f"block {i} ({KIND_NAMES[int(frozen.kind[i])]}"
-                f"{', ' + frozen.labels[i] if frozen.labels[i] else ''})"
-                " feeds no downstream block and is not an output",
-                f"block {i}",
-            )
+    read = np.zeros(n, dtype=bool)
+    read[frozen.input_src] = True
+    read[list(outputs.values())] = True
+    for i in np.flatnonzero(~read).tolist():
+        report.add(
+            ERC101,
+            Severity.WARNING,
+            f"block {i} ({KIND_NAMES[int(frozen.kind[i])]}"
+            f"{', ' + frozen.labels[i] if frozen.labels[i] else ''})"
+            " feeds no downstream block and is not an output",
+            f"block {i}",
+        )
 
     # ERC107 / ERC103: timing sanity.
     tau = np.asarray(frozen.tau, dtype=np.float64)

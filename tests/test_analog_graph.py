@@ -77,6 +77,13 @@ class TestBuilders:
         g = ideal_graph()
         with pytest.raises(ConfigurationError):
             g.lin([(5, 1.0)])
+        a = g.const(0.3)
+        # The message names the first input out of range.
+        with pytest.raises(ConfigurationError, match="input -1 "):
+            g.maximum([a, -1, 7])
+        with pytest.raises(ConfigurationError, match="input 1 "):
+            g.maximum([a, 1])
+        assert len(g) == 1
 
     def test_empty_inputs_rejected(self):
         g = ideal_graph()

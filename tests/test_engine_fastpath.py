@@ -1,18 +1,21 @@
 """Equivalence and regression tests for the vectorized engine.
 
-The levelized solver, the graph-template cache, the batched solves and
-the transient's stop at the bitwise fixed point are all *pure
-optimisations*: every path must produce bit-identical voltages to the
-reference behaviour (Jacobi sweeps over a freshly rebuilt graph, and
-the full-window transient loop kept here as the oracle).  These tests pin that contract, plus the hot-path
-bugfixes that landed with the engine (pool settle-time cache key,
-batched timing/overflow, convergence retry loop).
+The levelized solver, the graph-template cache, the batched solves,
+the transient's stop at the bitwise fixed point and the array packing
+of frozen graphs and their plans are all *pure optimisations*: every
+path must produce bit-identical voltages to the reference behaviour
+(Jacobi sweeps over a freshly rebuilt graph, and the full-window
+transient loop and the block-by-block packing kept here as oracles).
+These tests pin that contract, plus the hot-path bugfixes that landed
+with the engine (pool settle-time cache key, batched timing/overflow,
+convergence retry loop).
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import types
 from unittest import mock
 
 import numpy as np
@@ -36,6 +39,16 @@ from repro.analog import (
     measure_convergence_many,
     suggest_dt,
     transient,
+)
+from repro.analog.graph import (
+    KIND_ABSDIFF,
+    KIND_CONST,
+    KIND_GATE,
+    KIND_LIN,
+    KIND_MAX,
+    KIND_MIN,
+    KIND_MUX,
+    _SubsetOps,
 )
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.faults import (
@@ -943,3 +956,282 @@ class TestEntryPointsAgree:
         )
         assert single.convergence_time_s == batch.convergence_time_s
         assert [single.value] == list(batch.values)
+
+
+# -- array packing oracle ------------------------------------------------------
+# The per-block packing the engine had before freeze and the level plans
+# were built with array gathers: the arrays of every plan and of the
+# frozen graph must equal these (values, dtype and shape).
+def _reference_freeze(graph):
+    """Reference ``FrozenGraph`` fields, packed block by block."""
+    blocks = graph._blocks
+    n = len(blocks)
+    ref = types.SimpleNamespace()
+    ref.n_blocks = n
+    ref.outputs = dict(graph._outputs)
+    ref.tau = np.array([b.tau for b in blocks])
+    ref.kind = np.array([b.kind for b in blocks])
+    ref.gain = np.array([b.gain for b in blocks])
+    ref.offset = np.array([b.offset for b in blocks])
+    ref.labels = [b.label for b in blocks]
+    ref.supply_rail = graph.nonideality.supply_rail
+    ref.inputs = [b.inputs for b in blocks]
+    critical = np.zeros(n)
+    depth = np.zeros(n, dtype=np.intp)
+    for i, b in enumerate(blocks):
+        upstream = max((critical[s] for s in b.inputs), default=0.0)
+        critical[i] = b.tau + upstream
+        if b.inputs:
+            depth[i] = 1 + max(depth[s] for s in b.inputs)
+    ref.critical_tau = critical
+    ref.depth = depth
+    ref.n_levels = int(depth.max()) + 1 if n else 0
+
+    def ids_of(kind):
+        return np.array(
+            [i for i, b in enumerate(blocks) if b.kind == kind], dtype=np.intp
+        )
+
+    def pack_edges(ids):
+        src, ptr = [], [0]
+        for i in ids:
+            src.extend(blocks[i].inputs)
+            ptr.append(len(src))
+        return np.array(src, dtype=np.intp), np.array(ptr[:-1], dtype=np.intp)
+
+    ref.const_ids = ids_of(KIND_CONST)
+    ref.const_values = np.array([blocks[i].constant for i in ref.const_ids])
+    ref.lin_ids = ids_of(KIND_LIN)
+    lin_src, lin_w, lin_ptr = [], [], [0]
+    for i in ref.lin_ids:
+        lin_src.extend(blocks[i].inputs)
+        lin_w.extend(blocks[i].weights)
+        lin_ptr.append(len(lin_src))
+    ref.lin_src = np.array(lin_src, dtype=np.intp)
+    ref.lin_w = np.array(lin_w)
+    ref.lin_ptr = np.array(lin_ptr[:-1], dtype=np.intp)
+    ref.lin_const = np.array([blocks[i].constant for i in ref.lin_ids])
+    ref.abs_ids = ids_of(KIND_ABSDIFF)
+    ref.abs_a = np.array(
+        [blocks[i].inputs[0] for i in ref.abs_ids], dtype=np.intp
+    )
+    ref.abs_b = np.array(
+        [blocks[i].inputs[1] for i in ref.abs_ids], dtype=np.intp
+    )
+    ref.abs_w = np.array([blocks[i].weights[0] for i in ref.abs_ids])
+    ref.max_ids = ids_of(KIND_MAX)
+    ref.max_src, ref.max_ptr = pack_edges(ref.max_ids)
+    ref.min_ids = ids_of(KIND_MIN)
+    ref.min_src, ref.min_ptr = pack_edges(ref.min_ids)
+    ref.mux_ids = ids_of(KIND_MUX)
+    mux_in = np.array(
+        [blocks[i].inputs for i in ref.mux_ids], dtype=np.intp
+    ).reshape(-1, 4)
+    ref.mux_a, ref.mux_b, ref.mux_t, ref.mux_f = mux_in.T
+    ref.mux_thr = np.array([blocks[i].threshold for i in ref.mux_ids])
+    ref.gate_ids = ids_of(KIND_GATE)
+    gate_in = np.array(
+        [blocks[i].inputs for i in ref.gate_ids], dtype=np.intp
+    ).reshape(-1, 2)
+    ref.gate_a, ref.gate_b = gate_in.T
+    ref.gate_thr = np.array([blocks[i].threshold for i in ref.gate_ids])
+    ref.gate_high = np.array([blocks[i].v_high for i in ref.gate_ids])
+    ref.gate_low = np.array([blocks[i].v_low for i in ref.gate_ids])
+    return ref
+
+
+def _reference_subset_ops(ref, ids):
+    """Reference ``_SubsetOps`` fields for ``ids``, packed block by
+    block from :func:`_reference_freeze`'s arrays."""
+    plan = types.SimpleNamespace()
+    plan.ids = ids
+    plan.gain = ref.gain[ids]
+    plan.offset = ref.offset[ids]
+    plan.rail = ref.supply_rail
+    kinds = ref.kind[ids]
+    pos = np.arange(ids.size, dtype=np.intp)
+
+    def members(kind):
+        mask = kinds == kind
+        return ids[mask], pos[mask]
+
+    def pack(full_ids, full_src, full_ptr, sel_ids):
+        fptr = np.append(full_ptr, full_src.size)
+        out_src, out_ptr = [], [0]
+        for k in np.searchsorted(full_ids, sel_ids):
+            out_src.extend(full_src[int(fptr[k]) : int(fptr[k + 1])])
+            out_ptr.append(len(out_src))
+        return (
+            np.array(out_src, dtype=np.intp),
+            np.array(out_ptr[:-1], dtype=np.intp),
+        )
+
+    sel, plan.const_pos = members(KIND_CONST)
+    plan.const_take = np.searchsorted(ref.const_ids, sel)
+    sel, plan.lin_pos = members(KIND_LIN)
+    li = np.searchsorted(ref.lin_ids, sel)
+    full_ptr = np.append(ref.lin_ptr, ref.lin_src.size)
+    src, w, ptr = [], [], [0]
+    for k in li:
+        s, e = int(full_ptr[k]), int(full_ptr[k + 1])
+        src.extend(ref.lin_src[s:e])
+        w.extend(ref.lin_w[s:e])
+        ptr.append(len(src))
+    plan.lin_src = np.array(src, dtype=np.intp)
+    plan.lin_w = np.array(w)
+    plan.lin_ptr = np.array(ptr[:-1], dtype=np.intp)
+    plan.lin_const = ref.lin_const[li]
+    sel, plan.abs_pos = members(KIND_ABSDIFF)
+    ai = np.searchsorted(ref.abs_ids, sel)
+    plan.abs_a, plan.abs_b = ref.abs_a[ai], ref.abs_b[ai]
+    plan.abs_w = ref.abs_w[ai]
+    sel, plan.max_pos = members(KIND_MAX)
+    plan.max_src, plan.max_ptr = pack(
+        ref.max_ids, ref.max_src, ref.max_ptr, sel
+    )
+    sel, plan.min_pos = members(KIND_MIN)
+    plan.min_src, plan.min_ptr = pack(
+        ref.min_ids, ref.min_src, ref.min_ptr, sel
+    )
+    sel, plan.mux_pos = members(KIND_MUX)
+    mi = np.searchsorted(ref.mux_ids, sel)
+    for name in ("mux_a", "mux_b", "mux_t", "mux_f", "mux_thr"):
+        setattr(plan, name, getattr(ref, name)[mi])
+    sel, plan.gate_pos = members(KIND_GATE)
+    gi = np.searchsorted(ref.gate_ids, sel)
+    for name in ("gate_a", "gate_b", "gate_thr", "gate_high", "gate_low"):
+        setattr(plan, name, getattr(ref, name)[gi])
+    return plan
+
+
+_FROZEN_ARRAYS = (
+    "tau", "kind", "gain", "offset", "critical_tau", "depth",
+    "const_ids", "const_values",
+    "lin_ids", "lin_src", "lin_w", "lin_ptr", "lin_const",
+    "abs_ids", "abs_a", "abs_b", "abs_w",
+    "max_ids", "max_src", "max_ptr", "min_ids", "min_src", "min_ptr",
+    "mux_ids", "mux_a", "mux_b", "mux_t", "mux_f", "mux_thr",
+    "gate_ids", "gate_a", "gate_b", "gate_thr", "gate_high", "gate_low",
+)
+
+
+def _assert_same_array(got, want, what) -> None:
+    assert isinstance(got, np.ndarray), what
+    assert got.dtype == want.dtype, (what, got.dtype, want.dtype)
+    assert got.shape == want.shape, (what, got.shape, want.shape)
+    if want.dtype == np.float64:
+        got, want = got.view(np.uint64), want.view(np.uint64)
+    assert np.array_equal(got, want), what
+
+
+def _assert_same_plan(plan, ref, what) -> None:
+    assert plan.rail == ref.rail, what
+    for name in _SubsetOps.__slots__:
+        if name != "rail":
+            _assert_same_array(
+                getattr(plan, name), getattr(ref, name), f"{what}.{name}"
+            )
+
+
+def _assert_packed_like_reference(graph) -> None:
+    """The freeze of ``graph`` and every plan it builds equal the
+    block-by-block reference packing, field by field."""
+    frozen = graph.freeze()
+    ref = _reference_freeze(graph)
+    for name in ("n_blocks", "n_levels", "outputs", "labels", "supply_rail"):
+        assert getattr(frozen, name) == getattr(ref, name), name
+    for name in _FROZEN_ARRAYS:
+        _assert_same_array(getattr(frozen, name), getattr(ref, name), name)
+    ptr = frozen.input_ptr.tolist()
+    assert [
+        tuple(frozen.input_src[a:b].tolist()) for a, b in zip(ptr, ptr[1:])
+    ] == [tuple(int(s) for s in ins) for ins in ref.inputs]
+
+    levels = frozen._level_ops()
+    assert len(levels) == ref.n_levels
+    for d, plan in enumerate(levels):
+        _assert_same_plan(
+            plan,
+            _reference_subset_ops(ref, np.flatnonzero(ref.depth == d)),
+            f"level{d}",
+        )
+    _assert_same_plan(
+        frozen._nonconst_ops(),
+        _reference_subset_ops(ref, np.flatnonzero(ref.kind != KIND_CONST)),
+        "nonconst",
+    )
+    for depth in range(1, ref.n_levels):
+        plan = frozen._suffix_ops(depth)
+        start = int(ref.depth[plan.ids].min())
+        _assert_same_plan(
+            plan,
+            _reference_subset_ops(ref, np.flatnonzero(ref.depth >= start)),
+            f"suffix{start}",
+        )
+
+
+def _chip_of(kind: str, small: bool) -> DistanceAccelerator:
+    params = _SMALL if small else AcceleratorParameters()
+    if kind == "ideal":
+        return DistanceAccelerator(
+            params=params, nonideality=IDEAL, validate=False
+        )
+    return _chip(small, None if kind == "nonideal" else kind)
+
+
+@st.composite
+def _template_cases(draw):
+    """One request on a chip: every function, lengths 1-12 and every
+    argument it reads, on ideal, nonideal, stuck-at and drifted chips.
+    On the 4x4 chip longer operands run as row segments, DP tiles and
+    Hausdorff tiles; on the default chip as one single-pass graph."""
+    function = draw(st.sampled_from(ALL_FUNCTIONS))
+    config = get_config(function)
+    small = draw(st.booleans())
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12)) if config.supports_unequal_lengths else n
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (n,) if config.structure == "row" else (n, m)
+    kwargs = {}
+    if draw(st.booleans()):
+        kwargs["weights"] = rng.uniform(0.5, 1.5, size=shape)
+    if config.uses_threshold:
+        kwargs["threshold"] = draw(st.floats(0.0, 1.0))
+    tiled = small and max(n, m) + 1 > _SMALL.array_rows
+    if function == "dtw" and not tiled and draw(st.booleans()):
+        kwargs["band"] = draw(st.integers(max(1, abs(n - m)), max(n, m)))
+    if function == "edit":
+        kwargs["paper_errata"] = draw(st.booleans())
+    chip = draw(st.sampled_from(["ideal", "nonideal", "stuck", "drift"]))
+    p, q = rng.normal(size=n), rng.normal(size=m)
+    return function, _chip_of(chip, small), p, q, kwargs
+
+
+class TestArrayPacking:
+    """Freeze and the level, non-const and suffix plans are built with
+    array gathers; every field must equal the block-by-block packing."""
+
+    def test_smoke_and_empty_graphs(self):
+        _assert_packed_like_reference(_smoke_graph())
+        _assert_packed_like_reference(BlockGraph())
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_template_cases())
+    def test_every_template_packs_like_the_reference(self, case):
+        function, chip, p, q, kwargs = case
+        graphs = []
+        freeze = BlockGraph.freeze
+
+        def capture(graph):
+            graphs.append(graph)
+            return freeze(graph)
+
+        with mock.patch.object(BlockGraph, "freeze", capture):
+            chip.compute(function, p, q, **kwargs)
+        assert graphs
+        for graph in graphs:
+            _assert_packed_like_reference(graph)

@@ -93,6 +93,36 @@ class TestMetrics:
         assert hist.percentile(99.0) >= hist.percentile(50.0)
         assert hist.percentile(100.0) <= 1e-3 * 1.01
 
+    @pytest.mark.parametrize("n_buckets", [1, 7, 80])
+    def test_histogram_buckets_match_searchsorted(self, n_buckets):
+        """``record`` bisects a list of the bounds; every value lands in
+        the bucket of the numpy search it replaced."""
+        hist = LatencyHistogram("latency", n_buckets=n_buckets)
+        bounds = hist.bounds
+        rng = np.random.default_rng(3)
+        values = np.concatenate(
+            [
+                10.0 ** rng.uniform(-12.0, 4.0, size=2000),
+                bounds,
+                np.nextafter(bounds, 0.0),
+                np.nextafter(bounds, np.inf),
+                [0.0, -1.0, 1e-300, 1e300, np.inf],
+            ]
+        )
+        expected = np.zeros(n_buckets, dtype=np.int64)
+        for value in values.tolist():
+            index = int(
+                np.clip(
+                    np.searchsorted(bounds, value, side="right") - 1,
+                    0,
+                    n_buckets - 1,
+                )
+            )
+            expected[index] += 1
+            hist.record(value)
+            assert hist.counts.sum() == expected.sum()
+            assert np.array_equal(hist.counts, expected), value
+
     def test_histogram_empty(self):
         hist = LatencyHistogram("latency")
         assert hist.mean == 0.0
